@@ -23,12 +23,6 @@ from .measures import MeasureSpec
 from . import asymptotics, diagnostics, inversion, ratio_limit, rearrangement, specfun
 
 
-def _relmax(a, b):
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
-
-
 def criterion_golden_densities() -> Tuple[bool, str]:
     """Grid inversion against closed-form densities, under 5 seconds."""
     t0 = time.time()

@@ -4,15 +4,13 @@ Subcommands: psi, density, diagnose, nu-dist, asymptotics, ratio-limit,
 classify, selftest.  Exit codes: 0 success, 2 refusal (a meaningful "no
 density / not integrable at this t" verdict), 1 error.  CSV output carries
 '#'-prefixed metadata lines echoing the fully resolved configuration; JSON
-output embeds the same under the "config" key.  The only environment
-variable honored is LEVYDENS_THREADS, a cap on BLAS/FFT thread counts.
+output embeds the same under the "config" key.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 
@@ -21,14 +19,6 @@ import numpy as np
 from . import __version__
 from .errors import IntegrabilityRefusal, LevyDensError
 from . import modelio
-
-
-def _apply_thread_cap() -> None:
-    cap = os.environ.get("LEVYDENS_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -269,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    _apply_thread_cap()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.format is None:

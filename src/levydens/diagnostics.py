@@ -142,8 +142,8 @@ def hw_functional(model: ModelSpec, k_range: Tuple[int, int] = _K_DEFAULT,
     vals = _re_psi_on_ray(model, xi) / np.log1p(xi)
     tc = None
     if t_opt is not None:
-        if t_opt <= 0:
-            raise RangeError("t must be positive")
+        if not 0.0 < t_opt < math.inf:
+            raise RangeError(f"time t={t_opt} must be positive and finite")
         thr = model.dim / t_opt
         w = min(_TRAILING_W, vals.size)
         tc = {"t": t_opt, "threshold": thr,
@@ -269,8 +269,8 @@ def classify(model: ModelSpec, t_list: Sequence[float] = (0.5, 1.0, 2.0)) -> dic
 
     per_t = []
     for t in t_list:
-        if t <= 0:
-            raise RangeError("t values must be positive")
+        if not 0.0 < t < math.inf:
+            raise RangeError(f"time t={t} must be positive and finite")
         rep = hw_functional(model, t_opt=t)
         probe = "unavailable"
         try:

@@ -7,6 +7,14 @@ wrapped FFT (frequencies beyond one DFT period are folded, which is exactly
 the aliasing the grid step allows), with one Richardson step-halving pass to
 kill the leading h^2 trapezoid error coming from kinks like |xi| at 0.
 
+The fold touches each sample once: a contiguous run of sample indices lands
+on a contiguous run of bins, so it is added by slices.  A symmetric exponent
+(no one-sided part, no atoms) gives a real even integrand; only the half axis
+xi >= 0 is sampled, its bins are mirrored onto the negative half and the
+real bins go through ``rfft``.  The step-halving pass doubles the DFT length
+over the same window, so the coarse samples are its even samples: their bins
+are reused and only the new odd samples are evaluated.
+
 The xi-window is chosen by a doubling ladder; the leftover tail integral of
 the envelope is estimated on a log grid and reported as part of tail_bound.
 A tail whose decade contributions do not decrease marks a non-integrable
@@ -159,47 +167,124 @@ def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
         xi *= 2.0
 
 
-def _fold_frequency(Ffun, dxi: float, nside: int, M: int) -> np.ndarray:
-    """Fold trapezoid samples F(k dxi), k = -nside..nside, into M DFT bins.
+_FOLD_CHUNK = 1 << 16
 
-    Streams in chunks so multi-million-sample windows never materialize."""
-    folded = np.zeros(M, dtype=complex)
-    chunk = 1 << 18
-    for lo in range(-nside, nside + 1, chunk):
-        hi = min(lo + chunk, nside + 1)
-        k = np.arange(lo, hi)
-        F = np.asarray(Ffun(k * dxi), dtype=complex)
-        if lo == -nside:
-            F[0] *= 0.5
-        if hi == nside + 1:
-            F[-1] *= 0.5
-        idx = np.mod(k, M)
-        folded += (np.bincount(idx, weights=F.real, minlength=M)
-                   + 1j * np.bincount(idx, weights=F.imag, minlength=M))
+
+def _add_wrapped(bins: np.ndarray, F: np.ndarray, k0: int) -> None:
+    """bins[k mod M] += F[k - k0] for the contiguous run k = k0, k0 + 1, ...
+
+    A run lands on contiguous bins and wraps once per M samples, so it is
+    one slice add up to the wrap, whole periods summed as rows, and the rest
+    from bin 0."""
+    M = bins.size
+    b = k0 % M
+    n = min(F.size, M - b)
+    bins[b:b + n] += F[:n]
+    rest = F[n:]
+    whole = rest.size - rest.size % M
+    if whole:
+        bins += rest[:whole].reshape(-1, M).sum(axis=0)
+    bins[:rest.size - whole] += rest[whole:]
+
+
+def _fold_frequency(Ffun, dxi: float, nside: int, M: int, sym: bool,
+                    odd: bool = False) -> np.ndarray:
+    """Fold trapezoid samples into M DFT bins: bin j sums the samples whose
+    index k has k mod M = j.
+
+    With ``odd`` false the samples are F(k dxi), k = -nside..nside, with half
+    weight at both ends.  With ``odd`` true they are F((2k + 1) dxi),
+    k = -nside..nside-1: the midpoints that halving a step 2 dxi adds to the
+    same window, which land on the odd bins 2 (k mod M) + 1 of a 2M wrap.
+
+    ``sym`` marks F real and even.  Then only k >= 0 is evaluated (the k = 0
+    sample at half weight) and folded in float64, and the negative half-axis
+    is the mirror image of the bins: j + (M - j) for even samples, and
+    j + (M - 1 - j) for odd ones.  Each sample is evaluated once and streamed
+    in chunks, so multi-million-sample windows never materialize."""
+    dtype = float if sym else complex
+    folded = np.zeros(M, dtype=dtype)
+    lo = 0 if sym else -nside
+    hi = nside if odd else nside + 1
+    for a in range(lo, hi, _FOLD_CHUNK):
+        b = min(a + _FOLD_CHUNK, hi)
+        if odd:
+            k = np.arange(2 * a + 1, 2 * b + 1, 2, dtype=float)
+        else:
+            k = np.arange(a, b, dtype=float)
+        F = np.asarray(Ffun(k * dxi), dtype=dtype)
+        if not odd:
+            if a == lo:
+                F[0] *= 0.5
+            if b == hi:
+                F[-1] *= 0.5
+        _add_wrapped(folded, F, a)
+    if sym:
+        if odd:
+            folded += folded[::-1]
+        else:
+            folded[1:] += folded[:0:-1]
+            folded[0] *= 2.0
     return folded
 
 
-def _grid_1d_sum(Ffun, Xi, x0, hx, nx, refine=1, want_edge=True):
+def _wrap_edge(spec, M: int, hx: float, sym: bool) -> Tuple[float, float]:
+    """(alias estimate, density level a quarter period out) from the spectrum
+    of one pass, read on the bins (j - M/2) mod M, i.e. at x = j hx - W/2.
+    The half spectrum of a symmetric F is read at bin min(j, M - j)."""
+    a = np.abs(spec)
+    h = M // 2
+    p_full = np.concatenate((a[h:0:-1], a[:h]) if sym else (a[h:], a[:h]))
+    W = M * hx
+    x_full = np.arange(M) * hx - 0.5 * W
+    # the grid reaches at most W/2 from the origin, so the nearest image of
+    # any output node sits at distance >= W/2 and the folded magnitude at the
+    # wrap edge bounds the per-image contribution for decaying densities
+    band = np.abs(x_full) >= 0.5 * W - 4.0 * hx
+    alias_est = 2.0 * float(np.max(p_full[band])) if np.any(band) else 0.0
+    quarter = np.abs(np.abs(x_full) - 0.25 * W) < 2.0 * hx
+    p_quarter = float(np.max(p_full[quarter])) if np.any(quarter) else 0.0
+    return alias_est, p_quarter
+
+
+def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     """One trapezoid evaluation; the frequency step is 2 pi over the spatial
     wrap period M hx, so ``refine`` doubling M halves the step at a fixed
-    x-grid.  Returns (p complex, |p| on the full wrap window, step, M)."""
+    x-grid.
+
+    ``coarse`` is the ``fold`` returned by the pass at twice this step over
+    the same window.  Its bins are exactly the even bins of this pass, so
+    only the odd samples are evaluated.  A symmetric F folds to real even
+    bins, transformed by ``rfft`` and read at bin min(j, M - j).  Returns
+    (p complex, ``_wrap_edge`` levels or None with ``coarse``, step, M,
+    fold), fold being (bins, nside) for a later ``coarse``."""
     x_reach = max(abs(x0), abs(x0 + (nx - 1) * hx)) + hx
     M = refine << max(8, math.ceil(math.log2(2.0 * x_reach / hx + 2)))
     dxi_eff = 2.0 * math.pi / (M * hx)
     nside = int(math.ceil(Xi / dxi_eff))
-    folded = _fold_frequency(Ffun, dxi_eff, nside, M)
     shift = int(round(x0 / hx))
     if abs(x0 / hx - shift) > 1e-8:
         raise RangeError("grid origin must be an integer multiple of the step")
+    if coarse is None:
+        folded = _fold_frequency(Ffun, dxi_eff, nside, M, sym)
+    else:
+        even, nside_c = coarse
+        if nside != 2 * nside_c or 2 * even.size != M:
+            raise QuadratureError("the step-halving pass must double the coarse samples")
+        folded = np.empty(M, dtype=even.dtype)
+        folded[0::2] = even
+        folded[1::2] = _fold_frequency(Ffun, dxi_eff, nside_c, M // 2, sym, odd=True)
     # one DFT serves both the requested grid and the wrap-edge probe: an
     # integer-step origin is a cyclic shift of the output bins
-    spec = np.fft.fft(folded) * (dxi_eff / (2.0 * math.pi))
-    p = spec[(np.arange(nx) + shift) % M]
-    if not want_edge:
-        return p, None, dxi_eff, M
-    # wrap-edge density magnitude for the aliasing estimate
-    p_full = np.abs(spec[(np.arange(M) - M // 2) % M])
-    return p, p_full, dxi_eff, M
+    idx = (np.arange(nx) + shift) % M
+    if sym:
+        spec = np.fft.rfft(folded)
+        idx = np.minimum(idx, M - idx)
+    else:
+        spec = np.fft.fft(folded)
+    spec *= dxi_eff / (2.0 * math.pi)
+    edge = None if coarse is not None else _wrap_edge(spec, M, hx, sym)
+    return spec[idx], edge, dxi_eff, M, (folded, nside)
 
 
 _filon_K = 12
@@ -369,20 +454,12 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     x_reach = max(abs(x0), abs(x[-1])) + hx
     refine = 1
     while True:
-        p1, edge1, d1, M1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, refine=refine)
-        W = M1 * hx
-        x_full = np.arange(M1) * hx - 0.5 * W
-        # the nearest image of any output node sits at distance >= W - x_reach
-        # >= W/2 from the origin, so the folded magnitude at the wrap edge
-        # bounds the per-image contribution for decaying densities
-        band = np.abs(x_full) >= 0.5 * W - 4.0 * hx
-        alias_est = 2.0 * float(np.max(edge1[band])) if np.any(band) else 0.0
+        p1, (alias_est, p_quarter), d1, M1, fold1 = _grid_1d_sum(
+            Ffun, Xi, x0, hx, nx, sym, refine=refine)
         if alias_est < 1e-8 or M1 >= (1 << 21):
             break
         # predict the wrap period that meets the target from the observed
         # power-law decay between half and full edge, then jump directly
-        quarter = np.abs(np.abs(x_full) - 0.25 * W) < 2.0 * hx
-        p_quarter = float(np.max(edge1[quarter])) if np.any(quarter) else 0.0
         jump = 2
         if p_quarter > 0.0 and alias_est > 0.0:
             q = math.log(max(2.0 * p_quarter / alias_est, 1.0 + 1e-12)) / math.log(2.0)
@@ -393,10 +470,11 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
             jump //= 2
         refine *= max(jump, 2)
     # Richardson pass: frequency steps d and d/2 share the x-grid (doubling
-    # the DFT length halves the frequency step); truncation edges coincide
+    # the DFT length halves the frequency step); truncation edges coincide,
+    # so the coarse samples are every other fine sample and are reused
     Xi_eff = math.ceil(Xi / d1) * d1
-    p2, _, d2, M2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx,
-                                 refine=2 * refine, want_edge=False)
+    p2, _, d2, M2, _ = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
+                                    refine=2 * refine, coarse=fold1)
     p = (4.0 * p2 - p1) / 3.0
 
     # analytic continuation of the truncated frequency tail
@@ -492,8 +570,8 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
 def invert_grid(model: ModelSpec, t: float, grid,
                 tail_target: float = _TAIL_TARGET) -> DensityField:
     """Density field of model at time t on a uniform spatial grid (dim 1 or 2)."""
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     if model.dim == 1:
         x = np.asarray(grid, dtype=float)
         return _invert_1d(model, t, x, tail_target=tail_target)
@@ -531,8 +609,8 @@ def _accelerated(terms: np.ndarray) -> Tuple[float, float]:
 
 def pt_zero(model: ModelSpec, t: float) -> float:
     """p_t(0) = (2 pi)^{-n} int e^{-t Re psi(xi)} d xi for radial-exponent models."""
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
     if n > 1 and not model.measure.is_radial:
         raise UnsupportedModelError("pt_zero needs a radial exponent for dim > 1")
@@ -556,8 +634,8 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     """
     if not model.isotropic:
         raise UnsupportedModelError("invert_radial needs an isotropic model")
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
     nu = 0.5 * n - 1.0
     profile = re_psi_profile(model, 1e12)
@@ -649,8 +727,8 @@ def closed_form(family: str, t: float, x, dim: int = 1) -> float:
     Families: gaussian, cauchy, gamma, sym_gamma_besselk, laplace.
     """
     n = dim
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     if family == "gaussian":
         r2 = float(np.dot(x, x)) if np.ndim(x) else float(x) ** 2
         return (4.0 * math.pi * t) ** (-0.5 * n) * math.exp(-r2 / (4.0 * t))

@@ -424,7 +424,14 @@ def builtin_model(name: str, **params) -> ModelSpec:
 
     Known names: gaussian, cauchy, stable, tempered_stable, truncated_stable,
     gamma, sym_gamma, exa2_logkernel, exa3_atoms, exa4_atoms, exa5_atoms.
+    Every parameter must be finite; ``dim`` and ``levels`` are integers >= 1.
     """
+    for key, val in params.items():
+        if not math.isfinite(val):
+            raise ModelFormatError(f"builtin parameter must be finite, got {val}", field=key)
+        if key in ("dim", "levels") and (val != int(val) or val < 1):
+            raise ModelFormatError(f"builtin parameter must be an integer >= 1, got {val}",
+                                   field=key)
     n = int(params.pop("dim", 1))
     zeros = tuple(0.0 for _ in range(n))
     eye = tuple(tuple(2.0 if i == j else 0.0 for j in range(n)) for i in range(n))

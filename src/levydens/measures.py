@@ -63,20 +63,6 @@ class RadialProfile:
     def density(self, r: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def density_ext(self, r: np.ndarray) -> np.ndarray:
-        """Smooth natural extension of the density beyond the support.
-
-        Used by the oscillatory tail accelerator; defaults to the density
-        itself clipped to the support.
-        """
-        r = np.asarray(r, dtype=float)
-        lo, hi = self.support
-        out = np.zeros_like(r)
-        inside = (r >= lo) & (r <= hi)
-        if np.any(inside):
-            out[inside] = self.density(r[inside])
-        return out
-
     def second_moment(self, r0: float) -> float:  # int_0^{r0} r^2 rho(r) dr
         raise NotImplementedError
 
@@ -85,9 +71,6 @@ class RadialProfile:
 
     def tail_mass(self, r: float) -> float:  # mu((r, inf))
         raise NotImplementedError
-
-    def total_mass(self) -> float:
-        return self.tail_mass(0.0)
 
     def levy_integrability_check(self) -> float:
         """int (1 ^ r^2) dmu, which must be finite for a Levy measure."""
@@ -110,11 +93,6 @@ class PowerLawProfile(RadialProfile):
         object.__setattr__(self, "support", (0.0, self.r_max))
 
     def density(self, r):
-        return self.c * np.asarray(r, dtype=float) ** (-1.0 - self.alpha)
-
-    def density_ext(self, r):
-        # natural smooth continuation (used only inside oscillatory-tail
-        # end-point corrections, where the truncation is subtracted off again)
         return self.c * np.asarray(r, dtype=float) ** (-1.0 - self.alpha)
 
     def second_moment(self, r0):
@@ -154,9 +132,6 @@ class TemperedPowerLawProfile(RadialProfile):
         r = np.asarray(r, dtype=float)
         return self.c * r ** (-1.0 - self.alpha) * np.exp(-self.lam * r)
 
-    def density_ext(self, r):
-        return self.density(r)
-
     def second_moment(self, r0):
         a = 2.0 - self.alpha
         return self.c * self.lam ** (-a) * _sp.gammainc(a, self.lam * r0) * math.gamma(a)
@@ -179,11 +154,6 @@ class LogKernelProfile(RadialProfile):
         object.__setattr__(self, "support", (0.0, 1.0))
 
     def density(self, r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.log(1.0 / r) / r
-
-    def density_ext(self, r):
-        # ln(1/r)/r continues smoothly (and negatively) past r = 1
         r = np.asarray(r, dtype=float)
         return 2.0 * np.log(1.0 / r) / r
 
@@ -213,9 +183,6 @@ class GammaTypeProfile(RadialProfile):
     def density(self, r):
         r = np.asarray(r, dtype=float)
         return 2.0 * np.exp(-r) / r
-
-    def density_ext(self, r):
-        return self.density(r)
 
     def second_moment(self, r0):
         # 2 (1 - e^{-r}(1+r)) written to avoid cancellation at small r

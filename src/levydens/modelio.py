@@ -176,8 +176,7 @@ def _parse_builtin(ref: str) -> ModelSpec:
             except ValueError:
                 raise ModelFormatError(
                     f"builtin parameter '{key}' has non-numeric value '{val}'")
-            params[key] = int(num) if num == int(num) and key in (
-                "dim", "levels") else num
+            params[key] = int(num) if key in ("dim", "levels") and num.is_integer() else num
     return builtin_model(name, **params)
 
 

@@ -88,8 +88,8 @@ def _radial_weight_integral(model: ModelSpec, t: float, lo: float) -> float:
 
 def chi_tail_mass(model: ModelSpec, t: float, delta: float) -> float:
     """Fraction of the L1 norm of e^{-t psi} outside |xi| > delta."""
-    if t <= 0.0:
-        raise RangeError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     if delta < 0.0:
         raise RangeError("delta must be nonnegative")
     pt_zero(model, t)                   # integrability probe; raises refusal
@@ -131,8 +131,8 @@ def inf_re_psi_outside(model: ModelSpec, delta: float) -> Tuple[float, bool]:
 
 def ratio_px_p0(model: ModelSpec, t: float, x) -> float:
     """p_t(x) / p_t(0) from a single inversion pass."""
-    if t <= 0.0:
-        raise RangeError("t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     if model.dim == 1:
         xv = float(np.asarray(x).reshape(-1)[0]) if np.ndim(x) else float(x)
         if xv == 0.0:

@@ -218,8 +218,8 @@ def nu_inverse(model: ModelSpec, s: float) -> float:
 
 def u_star(model: ModelSpec, t: float, s: float) -> float:
     """Decreasing rearrangement of e^{-t Re psi}: exp(-t nu^{-1}(s))."""
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     return math.exp(-t * nu_inverse(model, s))
 
 
@@ -271,8 +271,8 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
     beyond; growing panel contributions past y = 40 mean nu outruns the
     exponential factor and the density does not exist at this t.
     """
-    if t <= 0:
-        raise RangeError("time t must be positive")
+    if not 0.0 < t < math.inf:
+        raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
 
     def integrand(y):

@@ -130,3 +130,17 @@ def test_negative_grid_bounds_parse(capsys):
     code, _, _ = _run(capsys, "density", "--model", "builtin:gaussian",
                       "--t", "1", "--grid", "-1:1:0.5")
     assert code == 0
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("--model", "builtin:gaussian", "--t", "inf"), "t="),
+    (("--model", "builtin:stable:alpha=nan", "--t", "1"), "'alpha'"),
+    (("--model", "builtin:exa4_atoms:levels=-3", "--t", "1"), "'levels'"),
+])
+def test_density_rejects_bad_input(capsys, argv, field):
+    # each ends in a typed error naming the field: no NaN output, no
+    # traceback and no refusal of a silently empty model
+    code, out, err = _run(capsys, "density", *argv, "--grid", "-1:1:0.5")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err

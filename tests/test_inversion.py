@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from levydens.errors import IntegrabilityRefusal, RangeError, UnsupportedModelError
+from levydens.errors import (
+    IntegrabilityRefusal,
+    QuadratureError,
+    RangeError,
+    UnsupportedModelError,
+)
 from levydens.inversion import (
+    _FOLD_CHUNK,
+    _fold_frequency,
+    _grid_1d_sum,
+    _wrap_edge,
     closed_form,
     invert_grid,
     invert_radial,
@@ -134,3 +143,96 @@ def test_tail_bound_reported():
     f = invert_grid(builtin_model("gaussian"), 1.0,
                     np.arange(-5.0, 5.0 + 1e-9, 0.1))
     assert 0.0 <= f.tail_bound < 1e-6
+
+
+# -- the frequency fold against a naive reference -------------------------
+
+def _even_F(xi):
+    return 1.0 / (1.0 + np.abs(xi)) ** 1.2
+
+
+def _complex_F(xi):
+    # one-sided gamma type exponent: (1 - i xi)^(-1.5), neither real nor even
+    return (1.0 - 1j * xi) ** -1.5
+
+
+def _naive_fold(Ffun, dxi, nside, M, odd=False):
+    """np.add.at over every sample index, k = -nside..nside (or the odd
+    midpoints 2k + 1, k = -nside..nside-1), into bin k mod M."""
+    if odd:
+        k = np.arange(-nside, nside)
+        F = np.asarray(Ffun((2 * k + 1) * dxi), dtype=complex)
+    else:
+        k = np.arange(-nside, nside + 1)
+        F = np.asarray(Ffun(k * dxi), dtype=complex)
+        F[0] *= 0.5
+        F[-1] *= 0.5
+    out = np.zeros(M, dtype=complex)
+    np.add.at(out, k % M, F)
+    return out
+
+
+def _rel(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+# nside crosses a chunk boundary; M lies far below, just below and far
+# above 2 nside + 1, so a chunk's run wraps many times, once, or never
+@pytest.mark.parametrize("M", [256, 777, 100_003, 1 << 20])
+@pytest.mark.parametrize("sym", [True, False])
+@pytest.mark.parametrize("odd", [False, True])
+def test_fold_matches_naive_reference(M, sym, odd):
+    Ffun = _even_F if sym else _complex_F
+    nside = _FOLD_CHUNK + 4321
+    dxi = 1e-3
+    got = _fold_frequency(Ffun, dxi, nside, M, sym, odd=odd)
+    assert got.dtype == (np.float64 if sym else np.complex128)
+    assert _rel(got, _naive_fold(Ffun, dxi, nside, M, odd=odd)) <= 1e-13
+
+
+@pytest.mark.parametrize("sym", [True, False])
+def test_grid_sum_and_step_halving_reuse(sym):
+    Ffun = _even_F if sym else _complex_F
+    x0, hx, nx = -2.0, 0.5, 9
+    Xi = 1.5e4                       # nside ~ 3e5, past one chunk
+    p1, edge, d1, M1, fold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym)
+    nside1 = fold1[1]
+    assert nside1 > _FOLD_CHUNK
+    ref1 = _naive_fold(Ffun, d1, nside1, M1)
+    assert _rel(fold1[0], ref1) <= 1e-13
+    spec1 = np.fft.fft(ref1) * d1 / (2.0 * math.pi)
+    shift = int(round(x0 / hx))
+    assert _rel(p1, spec1[(np.arange(nx) + shift) % M1]) <= 1e-13
+    # the wrap-edge levels, read from the full spectrum of the reference
+    alias_ref, quarter_ref = _wrap_edge(spec1, M1, hx, False)
+    assert edge[0] == pytest.approx(alias_ref, rel=1e-13)
+    assert edge[1] == pytest.approx(quarter_ref, rel=1e-13)
+
+    # the step-halving pass reuses the coarse samples: compare it with a
+    # full fold of every fine-step sample
+    Xi_eff = math.ceil(Xi / d1) * d1
+    p2, none, d2, M2, fold2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx,
+                                           sym, refine=2, coarse=fold1)
+    assert none is None and d2 == 0.5 * d1 and M2 == 2 * M1
+    assert fold2[1] == 2 * nside1
+    ref2 = _naive_fold(Ffun, d2, 2 * nside1, M2)
+    assert _rel(fold2[0], ref2) <= 1e-13
+    spec2 = np.fft.fft(ref2) * d2 / (2.0 * math.pi)
+    assert _rel(p2, spec2[(np.arange(nx) + shift) % M2]) <= 1e-13
+    # a window that does not double the coarse samples is refused
+    with pytest.raises(QuadratureError):
+        _grid_1d_sum(Ffun, Xi_eff + d1, x0, hx, nx, sym, refine=2, coarse=fold1)
+
+
+def test_sparse_cauchy_grid_routes_agree():
+    # a few nodes at a coarse step stream ~1e8 samples through the fold;
+    # the Fourier grid route, the radial route (no fold) and the closed
+    # form agree on the shared nodes
+    m = builtin_model("cauchy")
+    for xs in (np.array([0.0, 1.0]), np.arange(-2, 3) * 0.5):
+        grid = invert_grid(m, 1.0, xs).values
+        radial = invert_radial(m, 1.0, np.abs(xs)).values
+        exact = np.array([closed_form("cauchy", 1.0, x) for x in xs])
+        np.testing.assert_allclose(grid, exact, rtol=1e-8)
+        np.testing.assert_allclose(radial, exact, rtol=1e-8)
+        np.testing.assert_allclose(grid, radial, rtol=1e-8)
