@@ -2,18 +2,30 @@
 
 Convention: p_t(x) = (2 pi)^{-n} int e^{-t psi(xi)} e^{-i x.xi} d xi.
 
-Grid inversion uses a trapezoid rule on the frequency axis evaluated through a
-wrapped FFT (frequencies beyond one DFT period are folded, which is exactly
-the aliasing the grid step allows), with one Richardson step-halving pass to
-kill the leading h^2 trapezoid error coming from kinks like |xi| at 0.
+Grid inversion uses a trapezoid rule on the frequency axis, read as a DFT of
+length M whose period M hx in x is the wrap (frequencies beyond one DFT
+period fold, which is exactly the aliasing the grid step allows), with one
+Richardson step-halving pass to kill the leading h^2 trapezoid error coming
+from kinks like |xi| at 0.  The step-halving pass doubles M over the same
+window, so the coarse samples are its even samples: they are reused and
+only the new odd samples are evaluated.  A symmetric exponent (no one-sided
+part, no atoms) gives a real even integrand, and only the half axis
+xi >= 0 is sampled.
 
-The fold touches each sample once: a contiguous run of sample indices lands
-on a contiguous run of bins, so it is added by slices.  A symmetric exponent
-(no one-sided part, no atoms) gives a real even integrand; only the half axis
-xi >= 0 is sampled, its bins are mirrored onto the negative half and the
-real bins go through ``rfft``.  The step-halving pass doubles the DFT length
-over the same window, so the coarse samples are its even samples: their bins
-are reused and only the new odd samples are evaluated.
+The DFT is taken by one of two routes, chosen per inversion by comparing
+their transform costs (``_zoom_pays``), from M, the sample count and the
+node count:
+
+* the fold adds each sample into bin k mod M by slices (a contiguous run of
+  k lands on contiguous bins) and transforms all M bins by FFT; the mirrored
+  half axis goes through ``rfft``.  Few nodes at a coarse step need many
+  more samples than bins, and only the fold handles them.
+* the zoom, when no sample wraps and the samples and nodes are far fewer
+  than M, evaluates the sum only at the output bins and the wrap-edge probe
+  bins by Bluestein's chirp-z convolution, of length about samples + nodes
+  (Bluestein 1970; Bailey and Swarztrauber 1991).  Heavy-tailed laws widen
+  the wrap to 2^21-2^22 bins for a few percent of nonzero samples; the zoom
+  allocates nothing of length M.
 
 The xi-window is chosen by a doubling ladder; the leftover tail integral of
 the envelope is estimated on a log grid and reported as part of tail_bound.
@@ -25,9 +37,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import fft as _sfft
 from scipy import special as _sp
 
 from .errors import (
@@ -228,63 +241,237 @@ def _fold_frequency(Ffun, dxi: float, nside: int, M: int, sym: bool,
     return folded
 
 
-def _wrap_edge(spec, M: int, hx: float, sym: bool) -> Tuple[float, float]:
-    """(alias estimate, density level a quarter period out) from the spectrum
-    of one pass, read on the bins (j - M/2) mod M, i.e. at x = j hx - W/2.
-    The half spectrum of a symmetric F is read at bin min(j, M - j)."""
-    a = np.abs(spec)
-    h = M // 2
-    p_full = np.concatenate((a[h:0:-1], a[:h]) if sym else (a[h:], a[:h]))
+def _edge_bins(M: int, hx: float, sym: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Bins of the wrap-edge band and of the quarter-period ring.
+
+    Bin (j + M/2) mod M holds x = j hx - W/2, W = M hx; the band is
+    |x| >= W/2 - 4 hx and the ring ||x| - W/4| < 2 hx.  Only the j near
+    0, M/4, 3M/4 and M can qualify, so only those are tested.  The half
+    spectrum of a symmetric F is read at bin min(b, M - b)."""
     W = M * hx
-    x_full = np.arange(M) * hx - 0.5 * W
+    q = M // 4
+    j = np.concatenate([np.arange(0, 8), np.arange(q - 4, q + 5),
+                        np.arange(3 * q - 4, 3 * q + 5), np.arange(M - 8, M)])
+    x = j * hx - 0.5 * W
+    b = (j + M // 2) % M
     # the grid reaches at most W/2 from the origin, so the nearest image of
     # any output node sits at distance >= W/2 and the folded magnitude at the
     # wrap edge bounds the per-image contribution for decaying densities
-    band = np.abs(x_full) >= 0.5 * W - 4.0 * hx
-    alias_est = 2.0 * float(np.max(p_full[band])) if np.any(band) else 0.0
-    quarter = np.abs(np.abs(x_full) - 0.25 * W) < 2.0 * hx
-    p_quarter = float(np.max(p_full[quarter])) if np.any(quarter) else 0.0
+    band = np.abs(x) >= 0.5 * W - 4.0 * hx
+    quarter = np.abs(np.abs(x) - 0.25 * W) < 2.0 * hx
+    if sym:
+        b = np.minimum(b, M - b)
+    return b[band], b[quarter]
+
+
+def _edge_levels(band: np.ndarray, quarter: np.ndarray) -> Tuple[float, float]:
+    """(alias estimate, density level a quarter period out) from the spectrum
+    magnitudes on the ``_edge_bins``."""
+    alias_est = 2.0 * float(np.max(band)) if band.size else 0.0
+    p_quarter = float(np.max(quarter)) if quarter.size else 0.0
     return alias_est, p_quarter
+
+
+def _wrap_edge(spec, M: int, hx: float, sym: bool) -> Tuple[float, float]:
+    """``_edge_levels`` read from the spectrum of one pass (the half
+    spectrum for a symmetric F)."""
+    band, quarter = _edge_bins(M, hx, sym)
+    return _edge_levels(np.abs(spec[band]), np.abs(spec[quarter]))
+
+
+class _Zoom:
+    """Bluestein's chirp-z transform over the samples F_k, k = lo, lo + 1, ...
+
+    ``at`` returns X_m = sum_k F_k e^{-2 pi i k m / M} at any integer bins m in
+    O(N log N) per run of ``n_out`` consecutive bins, N >= samples + n_out - 1,
+    with no array of length M.  With km = (k^2 + m^2 - (m - k)^2) / 2 a run
+    m = s + i is a convolution of F_k e^{-i pi (k^2 + 2 s k) / M} with the
+    chirp e^{i pi (i - k)^2 / M}.  Every phase is reduced modulo 2 M in exact
+    integers first: a float k^2 loses the phase once k exceeds about 1e5.
+    The kernel FFT depends only on (M, lo, samples, n_out), so one plan
+    serves a pass and its step-halving odd samples (one sample fewer)."""
+
+    def __init__(self, M: int, lo: int, size: int, n_out: int):
+        self.M, self.lo, self.n_out = M, lo, n_out
+        self.N = _sfft.next_fast_len(size + n_out - 1)
+        # kernel at lag u = i - (k - lo) in [1 - size, n_out), wrapped mod N
+        v = np.arange(1 - size, n_out, dtype=np.int64) - lo
+        h = np.zeros(self.N, dtype=complex)
+        self._phase(v[size - 1:] ** 2, 1.0, h[:n_out])
+        self._phase(v[:size - 1] ** 2, 1.0, h[self.N - size + 1:])
+        self.kernel = np.fft.fft(h, out=h)
+        i = np.arange(n_out, dtype=np.int64)
+        self.post = self._phase(i * i, -1.0)
+
+    def _phase(self, r: np.ndarray, sign: float,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """e^{sign i pi r / M} for integers r, reduced mod 2 M exactly (in
+        place in r), written into ``out`` when given."""
+        r %= 2 * self.M
+        theta = r * (sign * math.pi / self.M)
+        if out is None:
+            out = np.empty(r.shape, dtype=complex)
+        np.cos(theta, out=out.real)
+        np.sin(theta, out=out.imag)
+        return out
+
+    def run(self, F: np.ndarray, s: int) -> np.ndarray:
+        """X_{s + i} for i = 0 .. n_out - 1."""
+        k = np.arange(self.lo, self.lo + F.size, dtype=np.int64)
+        r = k + 2 * (s % self.M)
+        r *= k
+        a = np.zeros(self.N, dtype=complex)
+        self._phase(r, -1.0, a[:F.size])
+        del k, r
+        a[:F.size] *= F
+        np.fft.fft(a, out=a)
+        a *= self.kernel
+        np.fft.ifft(a, out=a)
+        return a[:self.n_out] * self.post
+
+    def at(self, F: np.ndarray, bins: np.ndarray) -> np.ndarray:
+        """X_m at integer bins m, one ``run`` per cluster of nearby bins."""
+        out = np.empty(bins.size, dtype=complex)
+        order = np.argsort(bins, kind="stable")
+        sb = bins[order]
+        a = 0
+        while a < sb.size:
+            b = int(np.searchsorted(sb, sb[a] + self.n_out))
+            out[order[a:b]] = self.run(F, int(sb[a]))[sb[a:b] - sb[a]]
+            a = b
+        return out
+
+
+class _ZoomSums(NamedTuple):
+    """What a zoom pass hands its step-halving pass: the plan, the unscaled
+    sums at the output bins and the summed sample magnitude."""
+    zoom: _Zoom
+    sums: np.ndarray
+    mag: float
+
+
+_EDGE_RUN = 16     # longest cluster of ``_edge_bins``, read by one zoom run
+_EPS = float(np.finfo(float).eps)
+
+
+def _zoom_pays(M: int, nside: int, nx: int, sym: bool) -> bool:
+    """True when no sample wraps and the zoom costs less than the fold.
+
+    A length-n FFT counts n log2 n, and so does evaluating n exact-integer
+    phases.  The fold transforms M and then 2 M bins; for a symmetric F its
+    cheaper ``rfft`` is offset by the passes that zero, mirror and copy the
+    bins.  The zoom computes its chirp kernel (phases and one FFT), then per
+    run of bins the sample phases and two FFTs of length N.  The runs are
+    the output nodes, the wrap-edge bins (two runs with the mirror, three
+    without) and the step-halving odd samples."""
+    if 2 * nside + 1 > M:      # samples wrap
+        return False
+    size = nside + 1 if sym else 2 * nside + 1
+    N = _sfft.next_fast_len(size + max(nx, _EDGE_RUN) - 1)
+    runs = 4 if sym else 5
+    fold = M * math.log2(M) + 2 * M * math.log2(2 * M)
+    zoom = ((2 + 2 * runs) * N + runs * size) * math.log2(N)
+    return zoom < fold
+
+
+def _zoom_pass(Ffun, dxi: float, nside: int, zoom: _Zoom, sym: bool, bins: np.ndarray,
+               coarse: Optional[_ZoomSums] = None):
+    """Trapezoid sums at integer bins by the plan ``zoom``: without
+    ``coarse`` over the samples k = zoom.lo..nside (zoom.lo = 0 for a
+    symmetric F, summed as 2 Re; -nside otherwise), with it over the odd
+    samples 2k + 1, k = zoom.lo..nside-1, of the step-halving pass only
+    (``nside`` then counts coarse samples), added to the coarse sums with the
+    twiddle e^{-2 pi i m / (2 zoom.M)}.  Returns (sums, summed sample
+    magnitude)."""
+    dtype = float if sym else complex
+    if coarse is None:
+        k = np.arange(zoom.lo, nside + 1, dtype=float)
+        F = np.asarray(Ffun(k * dxi), dtype=dtype)
+        F[0] *= 0.5
+        F[-1] *= 0.5
+    else:
+        k = np.arange(2 * zoom.lo + 1, 2 * nside + 1, 2, dtype=float)
+        F = np.asarray(Ffun(k * dxi), dtype=dtype)
+    X = zoom.at(F, bins)
+    mag = (2.0 if sym else 1.0) * float(np.sum(np.abs(F)))
+    if coarse is not None:
+        # the odd samples sit at odd indices of a wrap twice the plan's
+        X *= zoom._phase(bins.copy(), -1.0)
+        mag += coarse.mag
+    sums = 2.0 * X.real if sym else X
+    if coarse is not None:
+        sums = sums + coarse.sums
+    return sums, mag
 
 
 def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     """One trapezoid evaluation; the frequency step is 2 pi over the spatial
     wrap period M hx, so ``refine`` doubling M halves the step at a fixed
-    x-grid.
+    x-grid.  Node i sits at x = m hx with m = x0 / hx + i, and its value is
+    the DFT of the samples at bin m mod M.
+
+    Two routes give the same sums; ``_zoom_pays`` picks by transform cost.
+    The fold adds the samples into M bins (``_fold_frequency``) and
+    transforms them all by FFT (``rfft`` for a symmetric F, read at bin
+    min(m, M - m)); it is the route once samples wrap.  The zoom (``_Zoom``)
+    evaluates the sum only at the output and ``_edge_bins`` bins, with no
+    array of length M.
 
     ``coarse`` is the ``fold`` returned by the pass at twice this step over
-    the same window.  Its bins are exactly the even bins of this pass, so
-    only the odd samples are evaluated.  A symmetric F folds to real even
-    bins, transformed by ``rfft`` and read at bin min(j, M - j).  Returns
-    (p complex, ``_wrap_edge`` levels or None with ``coarse``, step, M,
-    fold), fold being (bins, nside) for a later ``coarse``."""
+    the same window, whose samples are exactly the even samples of this
+    pass; only the odd samples are evaluated, on the coarse pass's route.
+    Returns (p, ``_edge_levels`` or None with ``coarse``, step, M, fold),
+    fold being (bins or ``_ZoomSums``, nside, rounding estimate); the
+    estimate is eps times the summed magnitude the transform takes in, the
+    step / 2 pi scale and log2 of the transform length."""
     x_reach = max(abs(x0), abs(x0 + (nx - 1) * hx)) + hx
     M = refine << max(8, math.ceil(math.log2(2.0 * x_reach / hx + 2)))
     dxi_eff = 2.0 * math.pi / (M * hx)
+    scale = dxi_eff / (2.0 * math.pi)
     nside = int(math.ceil(Xi / dxi_eff))
     shift = int(round(x0 / hx))
     if abs(x0 / hx - shift) > 1e-8:
         raise RangeError("grid origin must be an integer multiple of the step")
+    bins = np.arange(nx) + shift
     if coarse is None:
+        if _zoom_pays(M, nside, nx, sym):
+            lo = 0 if sym else -nside
+            zoom = _Zoom(M, lo, nside + 1 - lo, max(nx, _EDGE_RUN))
+            band, quarter = _edge_bins(M, hx, sym)
+            sums, mag = _zoom_pass(Ffun, dxi_eff, nside, zoom, sym,
+                                   np.concatenate((bins, band, quarter)))
+            spec = scale * sums
+            edge = _edge_levels(np.abs(spec[nx:nx + band.size]),
+                                np.abs(spec[nx + band.size:]))
+            rnd = _EPS * mag * scale * math.log2(zoom.N)
+            return spec[:nx], edge, dxi_eff, M, (_ZoomSums(zoom, sums[:nx], mag), nside, rnd)
         folded = _fold_frequency(Ffun, dxi_eff, nside, M, sym)
     else:
-        even, nside_c = coarse
-        if nside != 2 * nside_c or 2 * even.size != M:
+        state, nside_c, _ = coarse
+        zoomed = isinstance(state, _ZoomSums)
+        if nside != 2 * nside_c or 2 * (state.zoom.M if zoomed else state.size) != M:
             raise QuadratureError("the step-halving pass must double the coarse samples")
-        folded = np.empty(M, dtype=even.dtype)
-        folded[0::2] = even
+        if zoomed:
+            sums, mag = _zoom_pass(Ffun, dxi_eff, nside_c, state.zoom, sym, bins,
+                                   coarse=state)
+            rnd = _EPS * mag * scale * math.log2(state.zoom.N)
+            return scale * sums, None, dxi_eff, M, (state._replace(sums=sums, mag=mag),
+                                                   nside, rnd)
+        folded = np.empty(M, dtype=state.dtype)
+        folded[0::2] = state
         folded[1::2] = _fold_frequency(Ffun, dxi_eff, nside_c, M // 2, sym, odd=True)
     # one DFT serves both the requested grid and the wrap-edge probe: an
     # integer-step origin is a cyclic shift of the output bins
-    idx = (np.arange(nx) + shift) % M
+    idx = bins % M
     if sym:
         spec = np.fft.rfft(folded)
         idx = np.minimum(idx, M - idx)
     else:
         spec = np.fft.fft(folded)
-    spec *= dxi_eff / (2.0 * math.pi)
+    spec *= scale
     edge = None if coarse is not None else _wrap_edge(spec, M, hx, sym)
-    return spec[idx], edge, dxi_eff, M, (folded, nside)
+    rnd = _EPS * float(np.sum(np.abs(folded))) * scale * math.log2(M)
+    return spec[idx], edge, dxi_eff, M, (folded, nside, rnd)
 
 
 _filon_K = 12
@@ -473,9 +660,10 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     # the DFT length halves the frequency step); truncation edges coincide,
     # so the coarse samples are every other fine sample and are reused
     Xi_eff = math.ceil(Xi / d1) * d1
-    p2, _, d2, M2, _ = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
-                                    refine=2 * refine, coarse=fold1)
+    p2, _, d2, M2, fold2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
+                                        refine=2 * refine, coarse=fold1)
     p = (4.0 * p2 - p1) / 3.0
+    rounding = (4.0 * fold2[2] + fold1[2]) / 3.0
 
     # analytic continuation of the truncated frequency tail
     corr_err = 0.0
@@ -501,10 +689,17 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     vals = np.real(p)
     residue = float(np.max(np.abs(np.imag(p)))) if p.size else 0.0
     mass = float(np.trapezoid(vals, x))
-    tail_bound = alias_est + float(np.max(np.abs(p2 - p1))) / 3.0 + corr_err
+    # the sums sit at x = (x0 / hx + i) hx, which misses x[i] by the rounding
+    # carried in hx = x[1] - x[0]; the slope of the result converts the miss
+    miss = np.abs(x - (round(x0 / hx) + np.arange(nx)) * hx)
+    rounding += float(np.max(miss * np.abs(np.gradient(vals, x))))
+    tail_bound = alias_est + float(np.max(np.abs(p2 - p1))) / 3.0 + corr_err + rounding
     return DensityField(kind="grid", dim=1, t=t, nodes=(np.asarray(x, float),),
                         values=vals, mass=mass, tail_bound=tail_bound,
                         imag_residue=residue)
+
+
+_LATTICE_BLOCK = 1 << 18    # lattice samples evaluated at once
 
 
 def _lattice_sum_2d(Fr, dxi: float, n1: int, pts_x: np.ndarray,
@@ -512,16 +707,21 @@ def _lattice_sum_2d(Fr, dxi: float, n1: int, pts_x: np.ndarray,
     """(dxi/2pi)^2 trapezoid of Fr(|xi|) e^{-i x.xi} on a square lattice.
 
     Fr takes radii; symmetry makes the result the product of two cosine
-    matrices around the radial samples."""
+    matrices around the radial samples.  The samples are built and applied
+    in row blocks, so no (n1 + 1)^2 array exists."""
     # evenness in both axes folds the sum onto one quadrant
     xi = np.arange(0, n1 + 1) * dxi
-    R = np.hypot(xi[:, None], xi[None, :])
-    F = Fr(R.reshape(-1)).reshape(R.shape)
     wfold = np.full_like(xi, 2.0)
     wfold[0] = wfold[-1] = 1.0
     C1 = np.cos(np.outer(pts_x, xi)) * wfold[None, :]
     C2 = np.cos(np.outer(pts_y, xi)) * wfold[None, :]
-    return (C1 @ F @ C2.T) * (dxi / (2.0 * math.pi)) ** 2
+    out = np.zeros((pts_x.size, pts_y.size))
+    rows = max(1, _LATTICE_BLOCK // xi.size)
+    for a in range(0, xi.size, rows):
+        R = np.hypot(xi[a:a + rows, None], xi[None, :])
+        F = Fr(R.reshape(-1)).reshape(R.shape)
+        out += C1[:, a:a + rows] @ (F @ C2.T)
+    return out * (dxi / (2.0 * math.pi)) ** 2
 
 
 def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:

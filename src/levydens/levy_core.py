@@ -269,6 +269,9 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     if model.g_exact is not None:
         q = float(model.q_matrix[0, 0]) if model.isotropic else 0.0
         g = model.g_exact
+        if q == 0.0:
+            # adding 0 * u^2 changes no finite value; skip the pass over u
+            return lambda u: np.asarray(g(np.asarray(u, float)), float)
         return lambda u: 0.5 * q * np.asarray(u, float) ** 2 + np.asarray(g(np.asarray(u, float)), float)
 
     def direct(u):

@@ -1,6 +1,7 @@
 """Fourier inversion: closed-form oracles, normalization, refusals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,14 @@ from levydens.errors import (
     RangeError,
     UnsupportedModelError,
 )
+from levydens import inversion
 from levydens.inversion import (
     _FOLD_CHUNK,
+    _Zoom,
+    _ZoomSums,
     _fold_frequency,
     _grid_1d_sum,
+    _lattice_sum_2d,
     _wrap_edge,
     closed_form,
     invert_grid,
@@ -236,3 +241,123 @@ def test_sparse_cauchy_grid_routes_agree():
         np.testing.assert_allclose(grid, exact, rtol=1e-8)
         np.testing.assert_allclose(radial, exact, rtol=1e-8)
         np.testing.assert_allclose(grid, radial, rtol=1e-8)
+
+
+# -- the zoom route ----------------------------------------------------------
+
+def test_zoom_matches_direct_sum():
+    # k reaches past 5e5 and the runs start near M/2 and below 0, where a
+    # phase taken from a float k^2 is off by ~1e-10; the 50 bins below 0
+    # take three runs of 24
+    M, lo, size = 1 << 21, 500_000, 3001
+    rng = np.random.default_rng(7)
+    F = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    bins = np.concatenate((np.arange(M // 2 - 7, M // 2 + 9), np.arange(-70, -20),
+                           np.array([M // 4])))
+    got = _Zoom(M, lo, size, 24).at(F, bins)
+    k = np.arange(lo, lo + size, dtype=np.int64)
+    ref = np.array([np.sum(F * np.exp(-2j * math.pi * ((k * m) % M) / M)) for m in bins])
+    assert _rel(got, ref) <= 1e-13
+
+
+def _routes(monkeypatch):
+    """Record the route of every ``_grid_1d_sum`` pass."""
+    seen = []
+    real = inversion._grid_1d_sum
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        seen.append("zoom" if isinstance(out[4][0], _ZoomSums) else "fold")
+        return out
+    monkeypatch.setattr(inversion, "_grid_1d_sum", spy)
+    return seen
+
+
+@pytest.mark.parametrize("sym", [True, False])
+def test_grid_sum_routes_agree(sym):
+    # a wide wrap and a narrow window: the zoom is chosen; the fold route,
+    # built from its parts, is the reference for both passes
+    Ffun = _even_F if sym else _complex_F
+    x0, hx, nx, refine, Xi = -1.0, 0.01, 201, 512, 20.0
+    p1, edge, d1, M1, fold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=refine)
+    assert isinstance(fold1[0], _ZoomSums) and M1 == 1 << 17
+    nside = fold1[1]
+    bins = np.arange(nx) + int(round(x0 / hx))
+    idx = bins % M1
+    spec1 = np.fft.fft(_fold_frequency(Ffun, d1, nside, M1, sym)) * d1 / (2.0 * math.pi)
+    peak = np.max(np.abs(spec1[idx]))
+    assert np.max(np.abs(p1 - spec1[idx])) <= 1e-13 * peak
+    alias_ref, quarter_ref = _wrap_edge(spec1, M1, hx, False)
+    assert abs(edge[0] - alias_ref) <= 1e-14 and abs(edge[1] - quarter_ref) <= 1e-14
+
+    Xi_eff = math.ceil(Xi / d1) * d1
+    p2, none, d2, M2, fold2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
+                                           refine=2 * refine, coarse=fold1)
+    assert none is None and M2 == 2 * M1 and fold2[1] == 2 * nside
+    spec2 = np.fft.fft(_fold_frequency(Ffun, d2, 2 * nside, M2, sym)) * d2 / (2.0 * math.pi)
+    assert np.max(np.abs(p2 - spec2[bins % M2])) <= 1e-13 * peak
+    with pytest.raises(QuadratureError):
+        _grid_1d_sum(Ffun, Xi_eff + d1, x0, hx, nx, sym, refine=2 * refine, coarse=fold1)
+
+
+def test_route_choice(monkeypatch):
+    # 2001 cauchy nodes: 67,042 samples against M = 2^21 bins, zoomed; nine
+    # stable nodes at step 0.8: the samples wrap, folded
+    seen = _routes(monkeypatch)
+    invert_grid(builtin_model("cauchy"), 1.0, (np.arange(2001) - 1000) * 0.01)
+    assert seen[-2:] == ["zoom", "zoom"]
+    seen.clear()
+    invert_grid(builtin_model("stable", alpha=1.5), 1.0, (np.arange(9) - 4) * 0.8)
+    assert set(seen) == {"fold"}
+
+
+@pytest.mark.parametrize("name, family, t, x, route", [
+    # the gaussian's error is the rounding in hx = x[1] - x[0]
+    ("gaussian", "gaussian", 0.75, (np.arange(2001) - 1000) * 0.01, "fold"),
+    ("cauchy", "cauchy", 1.0, (np.arange(2001) - 1000) * 0.01, "zoom"),
+    ("cauchy", "cauchy", 1.0, (np.arange(41) - 20) * 0.25, "fold"),
+    ("sym_gamma", "laplace", 1.0, (np.arange(2001) - 1000) * 0.002, "zoom"),
+    ("sym_gamma", "laplace", 1.0, (np.arange(41) - 20) * 0.5, "fold"),
+])
+def test_tail_bound_covers_observed_error(monkeypatch, name, family, t, x, route):
+    seen = _routes(monkeypatch)
+    f = invert_grid(builtin_model(name), t, x)
+    assert seen[-1] == route
+    ref = np.array([closed_form(family, t, v) for v in x])
+    assert np.max(np.abs(f.values - ref)) <= f.tail_bound
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name, t, grid, limit_mb", [
+    # the fold held M = 2^22 bins here: 106-111 MB traced
+    ("cauchy", 1.0, (np.arange(2001) - 1000) * 0.01, 32),
+    ("exa2_logkernel", 1.4, (np.arange(401) - 200) * 0.02, 32),
+    # the unblocked lattice held (n1 + 1)^2 arrays: 275-288 MB traced
+    ("cauchy2", 1.0, ((np.arange(41) - 20) * 0.1,) * 2, 64),
+])
+def test_memory_guard(name, t, grid, limit_mb):
+    model = builtin_model("cauchy", dim=2) if name == "cauchy2" else builtin_model(name)
+    assert _traced_peak(lambda: invert_grid(model, t, grid)) < limit_mb * 1e6
+
+
+def test_lattice_blocks_match_full_product():
+    xs = np.linspace(-2.0, 2.0, 9)
+    ys = np.linspace(-1.0, 3.0, 7)
+    Fr = lambda r: np.exp(-r)
+    dxi, n1 = 0.02, 1500
+    got = _lattice_sum_2d(Fr, dxi, n1, xs, ys)
+    xi = np.arange(n1 + 1) * dxi
+    w = np.full_like(xi, 2.0)
+    w[0] = w[-1] = 1.0
+    F = Fr(np.hypot(xi[:, None], xi[None, :]))
+    ref = (np.cos(np.outer(xs, xi)) * w) @ F @ (np.cos(np.outer(ys, xi)) * w).T
+    ref *= (dxi / (2.0 * math.pi)) ** 2
+    assert _rel(got, ref) <= 1e-13
