@@ -31,6 +31,17 @@ The xi-window is chosen by a doubling ladder; the leftover tail integral of
 the envelope is estimated on a log grid and reported as part of tail_bound.
 A tail whose decade contributions do not decrease marks a non-integrable
 exponent at this t and raises IntegrabilityRefusal.
+
+The frequency tail beyond the window is added back analytically, for all
+nodes of a 1-d grid at once.  A symmetric exponent takes Filon-type panels
+(``_filon_tail``): every node shares the panels, and each panel takes the
+spherical Bessel moments of all orders at all nodes from one recurrence
+pass.  Any other exponent takes 240 half-period panels per node
+(``_osc_tail_term``): the panel points and exponent samples are built in
+node blocks of at most ``_FOLD_CHUNK`` samples, and one decade tail
+integral (``_tail_integral``) and one repeated-averaging pass
+(``_accelerated``) serve every node.  Only x = 0 and the few nodes with a
+slow phase near it go one by one.
 """
 
 from __future__ import annotations
@@ -112,46 +123,67 @@ def _uniform_step(x: np.ndarray) -> float:
 
 
 _glt_x, _glt_w = np.polynomial.legendre.leggauss(16)
+_DECADE_EDGES = math.log(10.0) * np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
 
 
-def _decade_piece(env, n, u_lo):
-    """GL quadrature of env(u) u^{n-1} du over [u_lo, 10 u_lo], log substitution."""
-    a = math.log(u_lo)
-    edges = a + math.log(10.0) * np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-    mid = 0.5 * (edges[:-1] + edges[1:])
-    half = 0.5 * np.diff(edges)
-    pts = mid[:, None] + half[:, None] * _glt_x[None, :]
+def _decade_piece(env, n, u_lo: np.ndarray) -> np.ndarray:
+    """GL quadrature of env(u) u^{n-1} du over [u_lo, 10 u_lo] for each lower
+    limit, log substitution, three panels a decade; one env call for all."""
+    # libm's log, as the scalar rule took it: numpy's vectorised log can
+    # differ from it in the last bit (about 2 arguments in 10^4 on AVX-512)
+    a = np.fromiter(map(math.log, u_lo), dtype=float, count=u_lo.size)
+    edges = a[:, None] + _DECADE_EDGES
+    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+    half = 0.5 * np.diff(edges, axis=-1)
+    pts = mid[..., None] + half[..., None] * _glt_x
     u = np.exp(pts.reshape(-1))
     vals = (env(u) * u ** n).reshape(pts.shape)
-    return float(np.sum(half * (vals @ _glt_w)))
+    return np.sum(half * (vals @ _glt_w), axis=-1)
 
 
 def _tail_integral(env: Callable[[np.ndarray], np.ndarray], t: float, n: int,
-                   xi0: float) -> float:
-    """int_{xi0}^{inf} env(u) u^{n-1} du, decade by decade.
+                   xi0):
+    """int_{xi0}^{inf} env(u) u^{n-1} du, decade by decade, for one lower
+    limit xi0 (a float is returned) or an array of them (an array of its
+    shape is returned).
 
-    env is the decaying envelope (weight times e^{-t Re psi}).  After the
-    probed decades the remainder is extrapolated geometrically from the
-    decade-contribution ratio; a non-contracting ratio marks a divergent
-    (or not demonstrably convergent) tail and returns inf.
+    env is the decaying envelope (weight times e^{-t Re psi}).  Each limit
+    stops on its own once a decade adds nothing; after the probed decades
+    the remainder is extrapolated geometrically from the decade-contribution
+    ratio, and a non-contracting ratio marks a divergent (or not
+    demonstrably convergent) tail and returns inf.  The limits still
+    running share one env call per decade.
     """
-    total = 0.0
-    prev = math.inf
-    piece = 0.0
-    u_lo = max(xi0, 1e-12)
-    ratio = 1.0
+    lim = np.asarray(xi0, dtype=float)
+    u_lo = np.maximum(lim.reshape(-1), 1e-12)
+    out = np.empty(u_lo.size)
+    live = np.arange(u_lo.size)
+    total = np.zeros(u_lo.size)
+    ratio = np.ones(u_lo.size)
+    prev = None
     for _ in range(24):
         piece = _decade_piece(env, n, u_lo)
         total += piece
-        if piece < 1e-18 * max(total, 1e-300) or piece == 0.0:
-            return total
-        if math.isfinite(prev) and prev > 0.0:
-            ratio = piece / prev
+        done = (piece < 1e-18 * np.maximum(total, 1e-300)) | (piece == 0.0)
+        stopped = np.count_nonzero(done)
+        if stopped == live.size:
+            out[live] = total
+            break
+        if prev is not None:
+            np.divide(piece, prev, out=ratio, where=np.isfinite(prev) & (prev > 0.0))
+        if stopped:
+            out[live[done]] = total[done]
+            keep = ~done
+            live, u_lo, total, piece, ratio = (
+                v[keep] for v in (live, u_lo, total, piece, ratio))
         prev = piece
-        u_lo *= 10.0
-    if ratio >= 0.999:
-        return math.inf
-    return total + piece * ratio / (1.0 - ratio)
+        u_lo = 10.0 * u_lo
+    else:
+        diverged = ratio >= 0.999
+        out[live[diverged]] = math.inf
+        go = ~diverged
+        out[live[go]] = total[go] + piece[go] * ratio[go] / (1.0 - ratio[go])
+    return float(out[0]) if lim.ndim == 0 else out.reshape(lim.shape)
 
 
 def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
@@ -478,13 +510,37 @@ _filon_K = 12
 _filon_P = np.polynomial.legendre.legvander(_glt_x, _filon_K - 1)  # (16, K)
 
 
+def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
+    """j_0(s) .. j_{K-1}(s) for a 1-d array of finite s, K >= 2, shape
+    (K, s.size), as ``scipy.special.spherical_jn`` gives them order by order.
+
+    Where s > k scipy runs the upward recurrence j_0 = sin s / s,
+    j_1 = (j_0 - cos s) / s, j_{k+1} = (2k + 1) j_k / s - j_{k-1}; one pass
+    of it, in the same operation order, yields every order at once.  Where
+    s <= k scipy switches to AMOS's J_{k+1/2}, since the upward recurrence
+    is unstable there; those (order, s) pairs go to scipy in one call."""
+    s = np.asarray(s, dtype=float)
+    j = np.empty((K, s.size))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        j[0] = np.sin(s) / s
+        j[1] = (j[0] - np.cos(s)) / s
+        for k in range(1, K - 1):
+            j[k + 1] = (2 * k + 1) * j[k] / s - j[k - 1]
+    order, at = np.nonzero(~(s > np.arange(K)[:, None]))
+    if order.size:
+        j[order, at] = _sp.spherical_jn(order, s[at])
+    return j
+
+
 def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
     """(1/pi) Re int_Xi^inf env(u) e^{-i x u} du for an array of nonzero x.
 
     The envelope is expanded in Legendre polynomials on geometric panels and
     integrated against the exact oscillatory moments
     int_{-1}^{1} P_k(tau) e^{-i s tau} d tau = 2 (-i)^k j_k(s), so the
-    accuracy is uniform in x.  The remainder beyond the last panel is the
+    accuracy is uniform in x.  Every node shares the panels, and each panel
+    takes the moments of all K orders at all nodes from one recurrence pass
+    (``_spherical_jn_orders``).  The remainder beyond the last panel is the
     leading integration-by-parts term.  Returns (values, error estimate).
     """
     x = np.asarray(x, dtype=float)
@@ -512,13 +568,13 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
         h = 0.5 * (u_hi - u_lo)
         ev = env(c + h * _glt_x)
         a = proj @ ev
-        s = ax * h
+        jn = _spherical_jn_orders(_filon_K, ax * h)
         A = np.zeros_like(x)
         B = np.zeros_like(x)
         for k, sg in zip(even, sgn_e):
-            A += 2.0 * sg * a[k] * _sp.spherical_jn(int(k), s)
+            A += 2.0 * sg * a[k] * jn[k]
         for k, sg in zip(odd, sgn_o):
-            B += 2.0 * sg * a[k] * _sp.spherical_jn(int(k), s)
+            B += 2.0 * sg * a[k] * jn[k]
         out += h * (A * np.cos(ax * c) - B * np.sin(ax * c))
         proj_err += 2.0 * h * abs(a[-1])
         u_lo = u_hi
@@ -537,65 +593,104 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
     return out / math.pi, (proj_err + rem_err) / math.pi
 
 
-def _osc_tail_term(Ffun_c, env, t, Xi, x: float, sym: bool) -> Tuple[complex, float]:
-    """(1/pi) int_Xi^inf F(xi) e^{-i x xi} d xi by half-period panels.
+_OSC_PANELS = 240     # half-period panels of the oscillatory tail, per node
 
-    For x = 0 and symmetric F (= the envelope) this is the plain tail
-    integral.  Returns (value, error estimate)."""
-    if x == 0.0:
-        if sym:
-            tail = _tail_integral(env, t, 1, Xi)
-            return complex(tail / math.pi), 1e-8 * tail
-        total = 0.0 + 0.0j
-        u = Xi
-        for _ in range(30):
-            pts = np.exp(np.linspace(math.log(u), math.log(10.0 * u), 64))
-            total += complex(np.trapezoid(Ffun_c(pts) * pts, np.log(pts)))
-            u *= 10.0
-            rest = _tail_integral(env, t, 1, u)
-            if rest < 1e-16:
-                return total / math.pi, 1e-12
-        return total / math.pi, rest / math.pi
-    ax = abs(x)
-    extra = 0.0 + 0.0j
-    if ax * Xi < 0.5:
+
+def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
+                   sym: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(1/pi) int_Xi^inf F(xi) e^{-i x xi} d xi for each node of the 1-d
+    array x, by half-period panels.
+
+    The nodes with |x| Xi >= 0.5 go through the panels together: their
+    panel points are built and F is evaluated in node blocks of at most
+    ``_FOLD_CHUNK`` samples, then one ``_tail_integral`` over all the panel
+    ends tells which nodes have exhausted the envelope (plain sum) and one
+    ``_accelerated`` pass averages the partial sums of every node.  The rest
+    go one by one: at x = 0 (one node of a uniform grid) this is the plain
+    tail integral for a symmetric F (= the envelope) and a decade march
+    otherwise; a slow-phase node (|x| Xi < 0.5) marches in decades out to
+    u = 0.5 / |x| and joins the panels from there.  Returns (values, error
+    estimates), one per node."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    val = np.zeros(x.size, dtype=complex)
+    err = np.zeros(x.size)
+    start = np.full(x.size, float(Xi))     # where each node's panels begin
+    extra = np.zeros(x.size, dtype=complex)
+    panels = ax * Xi >= 0.5
+    for j in np.flatnonzero(~panels):
+        xj = float(x[j])
+        if xj == 0.0:
+            if sym:
+                tail = _tail_integral(env, t, 1, Xi)
+                val[j], err[j] = complex(tail / math.pi), 1e-8 * tail
+                continue
+            total = 0.0 + 0.0j
+            u = Xi
+            for _ in range(30):
+                pts = np.exp(np.linspace(math.log(u), math.log(10.0 * u), 64))
+                total += complex(np.trapezoid(Ffun_c(pts) * pts, np.log(pts)))
+                u *= 10.0
+                rest = _tail_integral(env, t, 1, u)
+                if rest < 1e-16:
+                    val[j], err[j] = total / math.pi, 1e-12
+                    break
+            else:
+                val[j], err[j] = total / math.pi, rest / math.pi
+            continue
         # phase is slow out to u ~ 1/|x|: march in decades with the phase
         # factor treated as a smooth function, then hand over to half-period
         # panels once the oscillation sets in
+        axj = abs(xj)
         u = Xi
+        head = 0.0 + 0.0j
+        exhausted = False
         for _ in range(32):
-            u_next = min(10.0 * u, 0.5 / ax)
+            u_next = min(10.0 * u, 0.5 / axj)
             la, lb = math.log(u), math.log(u_next)
             edges_l = np.linspace(la, lb, 4)
             mid = 0.5 * (edges_l[:-1] + edges_l[1:])
             half = 0.5 * np.diff(edges_l)
             pts = np.exp(mid[:, None] + half[:, None] * _glt_x[None, :])
             fv = (Ffun_c(pts.reshape(-1)).reshape(pts.shape)
-                  * np.exp(-1j * x * pts) * pts)
-            extra += complex(np.sum(half[:, None] * _glt_w[None, :] * fv))
+                  * np.exp(-1j * xj * pts) * pts)
+            head += complex(np.sum(half[:, None] * _glt_w[None, :] * fv))
             u = u_next
-            if u >= 0.5 / ax - 1e-12:
+            if u >= 0.5 / axj - 1e-12:
                 break
-            rest = _tail_integral(env, t, 1, u)
-            if rest < 1e-16:
-                return extra / math.pi, 1e-12
-        Xi = u
-    step = math.pi / ax
-    nseg = 240
-    edges = Xi + step * np.arange(nseg + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    pts = mids[:, None] + 0.5 * step * _gl12_x[None, :]
-    fv = Ffun_c(pts.reshape(-1)).reshape(pts.shape)
-    terms = 0.5 * step * np.sum(
-        _gl12_w[None, :] * fv * np.exp(-1j * x * pts), axis=1)
-    leftover = _tail_integral(env, t, 1, edges[-1])
-    if leftover < 1e-15:
-        # envelope exhausted inside the panel range: plain sum is exact
-        return (extra + complex(np.sum(terms))) / math.pi, (1e-14 * float(
-            np.sum(np.abs(terms))) + leftover) / math.pi
-    re, ere = _accelerated(np.real(terms))
-    im, eim = _accelerated(np.imag(terms))
-    return (extra + complex(re, im)) / math.pi, (ere + eim) / math.pi
+            exhausted = _tail_integral(env, t, 1, u) < 1e-16
+            if exhausted:
+                break
+        if exhausted:
+            val[j], err[j] = head / math.pi, 1e-12
+        else:
+            start[j], extra[j], panels[j] = u, head, True
+    sel = np.flatnonzero(panels)
+    if not sel.size:
+        return val, err
+    step = math.pi / ax[sel]
+    terms = np.empty((sel.size, _OSC_PANELS), dtype=complex)
+    per = max(1, _FOLD_CHUNK // (_OSC_PANELS * _gl12_x.size))
+    for a in range(0, sel.size, per):
+        blk = sel[a:a + per]
+        st = step[a:a + per, None]
+        edges = start[blk, None] + st * np.arange(_OSC_PANELS + 1)
+        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        pts = mids[..., None] + (0.5 * st)[..., None] * _gl12_x
+        fv = Ffun_c(pts.reshape(-1)).reshape(pts.shape)
+        terms[a:a + per] = 0.5 * st * np.sum(
+            _gl12_w * fv * np.exp(-1j * x[blk, None, None] * pts), axis=-1)
+    leftover = _tail_integral(env, t, 1, start[sel] + step * float(_OSC_PANELS))
+    # envelope exhausted inside the panel range: plain sum is exact
+    plain = leftover < 1e-15
+    sums = np.sum(terms, axis=-1)
+    re, ere = _accelerated(terms.real)
+    im, eim = _accelerated(terms.imag)
+    val.real[sel] = (extra.real[sel] + np.where(plain, sums.real, re)) / math.pi
+    val.imag[sel] = (extra.imag[sel] + np.where(plain, sums.imag, im)) / math.pi
+    err[sel] = np.where(plain, (1e-14 * np.sum(np.abs(terms), axis=-1) + leftover) / math.pi,
+                        (ere + eim) / math.pi)
+    return val, err
 
 
 def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
@@ -668,22 +763,18 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     # analytic continuation of the truncated frequency tail
     corr_err = 0.0
     corr = np.zeros(nx)
+    osc = np.ones(nx, dtype=bool)
     if sym:
         # the two half-axes pair into Re of the one-sided integral; the
-        # Filon route evaluates it for every grid node at once
-        nz = x != 0.0
-        if np.any(nz):
-            corr[nz], ce = _filon_tail(env, Xi_eff, x[nz])
+        # Filon route evaluates it for every nonzero grid node at once
+        osc = x == 0.0
+        if not np.all(osc):
+            corr[~osc], ce = _filon_tail(env, Xi_eff, x[~osc])
             corr_err = max(corr_err, ce)
-        if np.any(~nz):
-            c0, e0 = _osc_tail_term(Ffun_c, env, t, Xi_eff, 0.0, True)
-            corr[~nz] = float(np.real(c0))
-            corr_err = max(corr_err, e0)
-    else:
-        for j, xj in enumerate(x):
-            c_pos, e = _osc_tail_term(Ffun_c, env, t, Xi_eff, float(xj), sym)
-            corr[j] = float(np.real(c_pos))
-            corr_err = max(corr_err, e)
+    if np.any(osc):
+        c, e = _osc_tail_term(Ffun_c, env, t, Xi_eff, x[osc], sym)
+        corr[osc] = c.real
+        corr_err = max([corr_err, *e.tolist()])
     p = p + corr
 
     vals = np.real(p)
@@ -796,15 +887,17 @@ def _panel_sum(f, edges, gx, gw) -> float:
     return float(np.sum(half * (vals @ gw)))
 
 
-def _accelerated(terms: np.ndarray) -> Tuple[float, float]:
-    s = np.cumsum(terms)
-    prev = s[-1]
-    est = abs(prev)
-    while s.size > 2:
-        s = 0.5 * (s[:-1] + s[1:])
-        est = abs(s[-1] - prev)
-        prev = s[-1]
-    return float(prev), float(est)
+def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Repeated averaging of the partial sums of ``terms`` along the last
+    axis: (value, error estimate) of each row, scalars for a 1-d input."""
+    s = np.cumsum(terms, axis=-1)
+    prev = s[..., -1]
+    est = np.abs(prev)
+    while s.shape[-1] > 2:
+        s = 0.5 * (s[..., :-1] + s[..., 1:])
+        est = np.abs(s[..., -1] - prev)
+        prev = s[..., -1]
+    return prev, est
 
 
 def pt_zero(model: ModelSpec, t: float) -> float:

@@ -1,5 +1,6 @@
 """Fourier inversion: closed-form oracles, normalization, refusals."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,11 +17,16 @@ from levydens.errors import (
 from levydens import inversion
 from levydens.inversion import (
     _FOLD_CHUNK,
+    _OSC_PANELS,
     _Zoom,
     _ZoomSums,
+    _accelerated,
     _fold_frequency,
     _grid_1d_sum,
     _lattice_sum_2d,
+    _osc_tail_term,
+    _spherical_jn_orders,
+    _tail_integral,
     _wrap_edge,
     closed_form,
     invert_grid,
@@ -28,7 +34,7 @@ from levydens.inversion import (
     multiplier_apply,
     pt_zero,
 )
-from levydens.levy_core import builtin_model
+from levydens.levy_core import builtin_model, re_psi_profile
 
 
 def test_gaussian_grid_matches_heat_kernel():
@@ -342,6 +348,8 @@ def _traced_peak(fn):
     ("exa2_logkernel", 1.4, (np.arange(401) - 200) * 0.02, 32),
     # the unblocked lattice held (n1 + 1)^2 arrays: 275-288 MB traced
     ("cauchy2", 1.0, ((np.arange(41) - 20) * 0.1,) * 2, 64),
+    # the oscillatory tail of all 381 nodes at once, unblocked: ~80 MB traced
+    ("gamma", 1.95, 0.25 + np.arange(381) * 0.0125, 16),
 ])
 def test_memory_guard(name, t, grid, limit_mb):
     model = builtin_model("cauchy", dim=2) if name == "cauchy2" else builtin_model(name)
@@ -361,3 +369,88 @@ def test_lattice_blocks_match_full_product():
     ref = (np.cos(np.outer(xs, xi)) * w) @ F @ (np.cos(np.outer(ys, xi)) * w).T
     ref *= (dxi / (2.0 * math.pi)) ** 2
     assert _rel(got, ref) <= 1e-13
+
+
+# -- the tail corrections, batched across nodes -------------------------------
+
+def test_spherical_jn_orders_match_scipy():
+    # a log grid across the switch at s = k between AMOS (s <= k) and the
+    # upward recurrence (s > k), plus s = k and one ulp either side (scipy
+    # gives NaN for orders >= 1 at the subnormal just above 0; so must we)
+    K = 12
+    k = np.arange(K, dtype=float)
+    s = np.concatenate((np.geomspace(1e-6, 1e4, 4001), k, np.nextafter(k[1:], 0.0),
+                        np.nextafter(k, np.inf)))
+    got = _spherical_jn_orders(K, s)
+    assert got.shape == (K, s.size)
+    for order in range(K):
+        np.testing.assert_allclose(got[order], sp.spherical_jn(order, s), rtol=0, atol=1e-15)
+
+
+def _tail_setup(name, t):
+    """(Ffun_c, env, sym) as ``_invert_1d`` builds them."""
+    model = builtin_model(name)
+    profile = re_psi_profile(model, 1e9)
+    env = lambda u: np.exp(-t * profile(np.abs(u)))
+    if model.psi_exact_vec is None:
+        return env, env, True
+    F = lambda xi: np.exp(-t * model.psi_exact_vec(xi.reshape(-1))).reshape(xi.shape)
+    return F, env, False
+
+
+@pytest.mark.parametrize("name, t", [("gamma", 6.0), ("gamma", 1.95), ("exa4_atoms", 1.0)])
+def test_osc_tail_batch_matches_single_nodes(name, t):
+    # x = 0, two slow-phase nodes (|x| Xi < 0.5) and negative x, more nodes
+    # than one block of F samples holds; at t = 6 the small |x| exhaust the
+    # envelope inside the panels (plain sums) and the large |x| do not
+    Xi = 5.0
+    x = np.concatenate(([0.0, 0.05, -0.08], np.linspace(-6.0, 6.0, 48)))
+    assert x.size > _FOLD_CHUNK // (_OSC_PANELS * 12)
+    F, env, sym = _tail_setup(name, t)
+    val, err = _osc_tail_term(F, env, t, Xi, x, sym)
+    single = [_osc_tail_term(F, env, t, Xi, x[j:j + 1], sym) for j in range(x.size)]
+    assert np.array_equal(val, np.concatenate([v for v, _ in single]))
+    assert np.array_equal(err, np.concatenate([e for _, e in single]))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_tail_integral_batch_matches_scalar(n):
+    # limits that stop after a few decades, run all 24 and extrapolate, or
+    # diverge; with the third envelope the small limits stop early (the
+    # 1e-30 tail is negligible against their total) and the large ones
+    # extrapolate, side by side
+    lims = np.concatenate((np.geomspace(1e-14, 1e6, 21), [0.0]))
+    for env in (lambda u: np.exp(-u), lambda u: (1.0 + u * u) ** (-0.5 - 0.55 * n),
+                lambda u: np.exp(-u) + 1e-30 * (1.0 + u) ** (-n - 0.1),
+                lambda u: (1.0 + u) ** -n):
+        got = _tail_integral(env, 1.0, n, lims)
+        want = np.array([_tail_integral(env, 1.0, n, float(v)) for v in lims])
+        assert isinstance(_tail_integral(env, 1.0, n, 1.0), float)
+        assert np.array_equal(got, want)
+    assert np.isinf(_tail_integral(lambda u: 1.0 / (1.0 + u), 1.0, 1, lims)).all()
+
+
+def test_accelerated_rows_match_single_rows():
+    rng = np.random.default_rng(3)
+    terms = rng.standard_normal((5, 240)) * (-1.0) ** np.arange(240) / (1.0 + np.arange(240))
+    val, est = _accelerated(terms)
+    for j in range(terms.shape[0]):
+        v, e = _accelerated(terms[j])
+        assert v == val[j] and e == est[j]
+
+
+def test_gamma_grid_exponent_passes():
+    # the 381-node gamma grid evaluates the exponent in node blocks, not once
+    # per node (384 calls), at the same 1,181,616 points
+    model = builtin_model("gamma")
+    seen = {"calls": 0, "points": 0}
+    exact = model.psi_exact_vec
+
+    def counted(xi):
+        seen["calls"] += 1
+        seen["points"] += int(np.size(xi))
+        return exact(xi)
+    model = dataclasses.replace(model, psi_exact_vec=counted)
+    invert_grid(model, 1.95, 0.25 + np.arange(381) * 0.0125)
+    assert seen["calls"] <= 32
+    assert seen["points"] == 1_181_616
