@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 
@@ -21,13 +22,20 @@ from .errors import IntegrabilityRefusal, LevyDensError
 from . import modelio
 
 
+_MAX_GRID_NODES = 1 << 20    # node arrays far past this exhaust memory
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         a, b, step = (float(p) for p in spec.split(":"))
     except ValueError:
         raise LevyDensError(f"grid '{spec}' must look like start:stop:step")
+    if not all(map(math.isfinite, (a, b, step))):
+        raise LevyDensError(f"grid '{spec}' must have finite start, stop and step")
     if step <= 0 or b <= a:
         raise LevyDensError(f"grid '{spec}' must have stop > start and step > 0")
+    if (b - a) / step + 1.0 > _MAX_GRID_NODES:
+        raise LevyDensError(f"grid '{spec}' has more than {_MAX_GRID_NODES} nodes")
     n = int(round((b - a) / step))
     k0 = round(a / step)
     if abs(k0 - a / step) < 1e-9:

@@ -39,9 +39,9 @@ spherical Bessel moments of all orders at all nodes from one recurrence
 pass.  Any other exponent takes 240 half-period panels per node
 (``_osc_tail_term``): the panel points and exponent samples are built in
 node blocks of at most ``_FOLD_CHUNK`` samples, and one decade tail
-integral (``_tail_integral``) and one repeated-averaging pass
-(``_accelerated``) serve every node.  Only x = 0 and the few nodes with a
-slow phase near it go one by one.
+integral and one repeated-averaging pass serve every node.  Only x = 0 and
+the few nodes with a slow phase near it go one by one.  The GL panels, the
+accelerator and the tail integral are those of ``quadrature``.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ from .errors import (
 )
 from .levy_core import ModelSpec, eval_psi, re_psi_profile
 from .measures import sphere_surface
+from .quadrature import (
+    _accelerated,
+    _gl12_w,
+    _gl12_x,
+    _gl16_w,
+    _gl16_x,
+    _panel_sum,
+    _tail_integral,
+)
 from . import specfun
 
 _POINT_TOL = 1e-4      # pointwise envelope level at the window edge; the
@@ -120,70 +129,6 @@ def _uniform_step(x: np.ndarray) -> float:
     if h <= 0 or not np.allclose(d, h, rtol=1e-9, atol=1e-12):
         raise RangeError("grid must be uniformly spaced and increasing")
     return float(h)
-
-
-_glt_x, _glt_w = np.polynomial.legendre.leggauss(16)
-_DECADE_EDGES = math.log(10.0) * np.array([0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0])
-
-
-def _decade_piece(env, n, u_lo: np.ndarray) -> np.ndarray:
-    """GL quadrature of env(u) u^{n-1} du over [u_lo, 10 u_lo] for each lower
-    limit, log substitution, three panels a decade; one env call for all."""
-    # libm's log, as the scalar rule took it: numpy's vectorised log can
-    # differ from it in the last bit (about 2 arguments in 10^4 on AVX-512)
-    a = np.fromiter(map(math.log, u_lo), dtype=float, count=u_lo.size)
-    edges = a[:, None] + _DECADE_EDGES
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * np.diff(edges, axis=-1)
-    pts = mid[..., None] + half[..., None] * _glt_x
-    u = np.exp(pts.reshape(-1))
-    vals = (env(u) * u ** n).reshape(pts.shape)
-    return np.sum(half * (vals @ _glt_w), axis=-1)
-
-
-def _tail_integral(env: Callable[[np.ndarray], np.ndarray], t: float, n: int,
-                   xi0):
-    """int_{xi0}^{inf} env(u) u^{n-1} du, decade by decade, for one lower
-    limit xi0 (a float is returned) or an array of them (an array of its
-    shape is returned).
-
-    env is the decaying envelope (weight times e^{-t Re psi}).  Each limit
-    stops on its own once a decade adds nothing; after the probed decades
-    the remainder is extrapolated geometrically from the decade-contribution
-    ratio, and a non-contracting ratio marks a divergent (or not
-    demonstrably convergent) tail and returns inf.  The limits still
-    running share one env call per decade.
-    """
-    lim = np.asarray(xi0, dtype=float)
-    u_lo = np.maximum(lim.reshape(-1), 1e-12)
-    out = np.empty(u_lo.size)
-    live = np.arange(u_lo.size)
-    total = np.zeros(u_lo.size)
-    ratio = np.ones(u_lo.size)
-    prev = None
-    for _ in range(24):
-        piece = _decade_piece(env, n, u_lo)
-        total += piece
-        done = (piece < 1e-18 * np.maximum(total, 1e-300)) | (piece == 0.0)
-        stopped = np.count_nonzero(done)
-        if stopped == live.size:
-            out[live] = total
-            break
-        if prev is not None:
-            np.divide(piece, prev, out=ratio, where=np.isfinite(prev) & (prev > 0.0))
-        if stopped:
-            out[live[done]] = total[done]
-            keep = ~done
-            live, u_lo, total, piece, ratio = (
-                v[keep] for v in (live, u_lo, total, piece, ratio))
-        prev = piece
-        u_lo = 10.0 * u_lo
-    else:
-        diverged = ratio >= 0.999
-        out[live[diverged]] = math.inf
-        go = ~diverged
-        out[live[go]] = total[go] + piece[go] * ratio[go] / (1.0 - ratio[go])
-    return float(out[0]) if lim.ndim == 0 else out.reshape(lim.shape)
 
 
 def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
@@ -507,7 +452,7 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
 
 
 _filon_K = 12
-_filon_P = np.polynomial.legendre.legvander(_glt_x, _filon_K - 1)  # (16, K)
+_filon_P = np.polynomial.legendre.legvander(_gl16_x, _filon_K - 1)  # (16, K)
 
 
 def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
@@ -546,7 +491,7 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     out = np.zeros_like(x)
-    proj = 0.5 * (2.0 * np.arange(_filon_K) + 1.0)[:, None] * (_filon_P.T * _glt_w)
+    proj = 0.5 * (2.0 * np.arange(_filon_K) + 1.0)[:, None] * (_filon_P.T * _gl16_w)
     even = np.arange(0, _filon_K, 2)
     odd = np.arange(1, _filon_K, 2)
     sgn_e = (-1.0) ** (even // 2)
@@ -566,7 +511,7 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
         u_hi = u_lo + width
         c = 0.5 * (u_lo + u_hi)
         h = 0.5 * (u_hi - u_lo)
-        ev = env(c + h * _glt_x)
+        ev = env(c + h * _gl16_x)
         a = proj @ ev
         jn = _spherical_jn_orders(_filon_K, ax * h)
         A = np.zeros_like(x)
@@ -651,10 +596,10 @@ def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
             edges_l = np.linspace(la, lb, 4)
             mid = 0.5 * (edges_l[:-1] + edges_l[1:])
             half = 0.5 * np.diff(edges_l)
-            pts = np.exp(mid[:, None] + half[:, None] * _glt_x[None, :])
+            pts = np.exp(mid[:, None] + half[:, None] * _gl16_x[None, :])
             fv = (Ffun_c(pts.reshape(-1)).reshape(pts.shape)
                   * np.exp(-1j * xj * pts) * pts)
-            head += complex(np.sum(half[:, None] * _glt_w[None, :] * fv))
+            head += complex(np.sum(half[:, None] * _gl16_w[None, :] * fv))
             u = u_next
             if u >= 0.5 / axj - 1e-12:
                 break
@@ -872,32 +817,6 @@ def invert_grid(model: ModelSpec, t: float, grid,
 
 
 # -- radial route ---------------------------------------------------------
-
-_gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
-_gl12_x, _gl12_w = np.polynomial.legendre.leggauss(12)
-
-
-def _panel_sum(f, edges, gx, gw) -> float:
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * gx[None, :]
-    vals = f(pts.reshape(-1)).reshape(pts.shape)
-    return float(np.sum(half * (vals @ gw)))
-
-
-def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Repeated averaging of the partial sums of ``terms`` along the last
-    axis: (value, error estimate) of each row, scalars for a 1-d input."""
-    s = np.cumsum(terms, axis=-1)
-    prev = s[..., -1]
-    est = np.abs(prev)
-    while s.shape[-1] > 2:
-        s = 0.5 * (s[..., :-1] + s[..., 1:])
-        est = np.abs(s[..., -1] - prev)
-        prev = s[..., -1]
-    return prev, est
 
 
 def pt_zero(model: ModelSpec, t: float) -> float:

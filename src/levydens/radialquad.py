@@ -14,6 +14,8 @@ int cos(s x) (1-x^2)^{(n-3)/2} dx.  The integral is split into three regions:
   * oscillatory tail : 1 - A_n = tail mass minus an oscillatory integral,
     summed over pi-length panels with repeated-averaging acceleration.
 
+The panel sums and the accelerator are those of ``quadrature``.
+
 Kernel evaluation here is independent of the Bessel routines in specfun, so
 exponent values obtained through this engine and through the one-dimensional
 profile representation constitute genuinely separate computations.
@@ -29,13 +31,19 @@ from scipy import special as _sp
 
 from .errors import QuadratureError
 from .measures import RadialProfile
+from .quadrature import (
+    _accelerated,
+    _gl12_w,
+    _gl12_x,
+    _gl16_w,
+    _gl16_x,
+    _panel_integral,
+    _panel_sum,
+)
 
 _S_TAYLOR = 1e-3
 _S_BIG = 30.0
 _MAX_TAIL_PANELS = 240
-
-_gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
-_gl12_x, _gl12_w = np.polynomial.legendre.leggauss(12)
 
 # direction-average quadrature nodes per dimension (n >= 2, n != 3)
 _kernel_nodes: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -91,39 +99,6 @@ def one_minus_kernel(n: int, s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _panel_integral(f, a: float, b: float, x: np.ndarray, w: np.ndarray) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
-def _panels_integral(f, edges: np.ndarray, x: np.ndarray, w: np.ndarray) -> float:
-    """Sum of GL panel integrals over consecutive edges, vectorized."""
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * x[None, :]
-    vals = f(pts.reshape(-1)).reshape(pts.shape)
-    return float(np.sum(half * (vals @ w)))
-
-
-def _accelerated_sum(terms: np.ndarray) -> Tuple[float, float]:
-    """Repeated averaging of partial sums of an oscillating series.
-
-    Returns the accelerated limit and an error estimate from the last
-    averaging stage.
-    """
-    s = np.cumsum(terms)
-    prev = s[-1]
-    est = abs(prev)
-    while s.size > 2:
-        s = 0.5 * (s[:-1] + s[1:])
-        est = abs(s[-1] - prev)
-        prev = s[-1]
-    return float(prev), float(est)
-
-
 class RadialQuadEngine:
     """Evaluates g(u) for one radial profile in a fixed dimension."""
 
@@ -173,12 +148,12 @@ class RadialQuadEngine:
                 decades = math.log10(r_knee / r0)
                 k = max(2, int(math.ceil(8.0 * decades)))
                 edges = np.geomspace(r0, r_knee, k + 1)
-                mid += _panels_integral(f, edges, _gl16_x, _gl16_w)
+                mid += _panel_sum(f, edges, _gl16_x, _gl16_w)
             if r_mid_hi > r_knee * (1.0 + 1e-14):
                 step = 0.5 * math.pi / u
                 k = max(1, int(math.ceil((r_mid_hi - r_knee) / step)))
                 edges = np.linspace(r_knee, r_mid_hi, k + 1)
-                mid += _panels_integral(f, edges, _gl16_x, _gl16_w)
+                mid += _panel_sum(f, edges, _gl16_x, _gl16_w)
             total += mid
             est += 1e-14 * abs(mid)
 
@@ -223,5 +198,5 @@ class RadialQuadEngine:
             return float(np.sum(arr)), 1e-14 * float(np.sum(np.abs(arr))) + leftover_bound
         # truncated by the panel cap with mass left over: accelerate the
         # oscillating partial sums toward their limit
-        value, est = _accelerated_sum(arr)
-        return value, est + 1e-15 * leftover_bound
+        value, est = _accelerated(arr)
+        return float(value), float(est) + 1e-15 * leftover_bound

@@ -8,6 +8,9 @@ ball vanishes as t grows, which drives the three ratio limits
 
 locally uniformly.  The operations here exhibit those limits numerically on
 a t-ladder and report every rung rather than claiming a limit.
+
+The L1 norm of e^{-t psi} is (2 pi)^n p_t(0) from ``pt_zero``; its part
+outside the ball is ``quadrature._tail_integral`` from delta.
 """
 
 from __future__ import annotations
@@ -18,12 +21,14 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import IntegrabilityRefusal, RangeError, UnsupportedModelError
+from .errors import RangeError, UnsupportedModelError
 from .levy_core import ModelSpec, re_psi_profile
 from .inversion import invert_grid, invert_radial, pt_zero
+from .measures import sphere_surface
+from .quadrature import _tail_integral
 
 _T_LADDER = (1.0, 10.0, 100.0, 1000.0)
-_gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
+_TAIL_PANELS = 64     # GL-16 panels per decade of the chi_t tail mass
 
 
 @dataclass(frozen=True)
@@ -52,51 +57,20 @@ class RatioReport:
         }
 
 
-def _radial_weight_integral(model: ModelSpec, t: float, lo: float) -> float:
-    """int_lo^inf e^{-t Re psi(u)} u^{n-1} du by log panels.
-
-    Valid for dim 1 (Re psi is even) and for radial models in general.
-    """
-    n = model.dim
-    if n > 1 and not model.measure.is_radial:
-        raise UnsupportedModelError(
-            "the L1 norm integral needs dim=1 or a radial model")
-    fn = re_psi_profile(model, 1e12)
-    a = max(lo, 1e-12)
-    total = 0.0
-    per_decade = 64
-    for d in range(28):
-        b = a * 10.0 ** (1.0 / per_decade)
-        piece_decade = 0.0
-        for _ in range(per_decade):
-            mid = 0.5 * (a + b)
-            half = 0.5 * (b - a)
-            u = mid + half * _gl16_x
-            piece_decade += half * float(np.dot(
-                _gl16_w, np.exp(-t * fn(u)) * u ** (n - 1)))
-            a = b
-            b = a * 10.0 ** (1.0 / per_decade)
-        total += piece_decade
-        # a zero piece (underflowed integrand) also terminates the march
-        if piece_decade <= 1e-30 * total:
-            break
-    else:
-        raise IntegrabilityRefusal(
-            f"e^(-t Re psi) mass did not converge within the probed range at t={t}")
-    return total
-
-
 def chi_tail_mass(model: ModelSpec, t: float, delta: float) -> float:
     """Fraction of the L1 norm of e^{-t psi} outside |xi| > delta."""
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
-    if delta < 0.0:
-        raise RangeError("delta must be nonnegative")
-    pt_zero(model, t)                   # integrability probe; raises refusal
+    if not 0.0 <= delta < math.inf:
+        raise RangeError(f"delta={delta} must be nonnegative and finite")
+    p0 = pt_zero(model, t)              # integrability probe; raises refusal
     if delta == 0.0:
         return 1.0
-    full = _radial_weight_integral(model, t, 0.0)
-    tail = _radial_weight_integral(model, t, delta)
+    n = model.dim
+    full = (2.0 * math.pi) ** n * p0 / sphere_surface(n)
+    profile = re_psi_profile(model, 1e12)
+    env = lambda u: np.exp(-t * profile(u))
+    tail = _tail_integral(env, t, n, delta, panels=_TAIL_PANELS)
     return min(1.0, tail / full)
 
 
@@ -107,8 +81,8 @@ def inf_re_psi_outside(model: ModelSpec, delta: float) -> Tuple[float, bool]:
     flag signals a value within 1e-6 of zero found beyond delta, the
     periodicity obstruction of lattice-supported jump measures.
     """
-    if delta <= 0.0:
-        raise RangeError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise RangeError(f"delta={delta} must be positive and finite")
     fn = re_psi_profile(model, max(1e7, delta * 16.0))
     at_delta = float(fn(np.array([delta]))[0])
     u = np.geomspace(delta, max(1e6, delta * 8.0), 1 << 14)
@@ -135,14 +109,14 @@ def ratio_px_p0(model: ModelSpec, t: float, x) -> float:
         raise RangeError(f"time t={t} must be positive and finite")
     if model.dim == 1:
         xv = float(np.asarray(x).reshape(-1)[0]) if np.ndim(x) else float(x)
-        if xv == 0.0:
-            return 1.0
-        f = invert_grid(model, t, np.array([0.0, xv]))
-        return float(f.values[1] / f.values[0])
-    r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-    if r == 0.0:
+    else:
+        xv = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    if not math.isfinite(xv):
+        raise RangeError(f"x={x} must be finite")
+    if xv == 0.0:
         return 1.0
-    f = invert_radial(model, t, np.array([0.0, r]))
+    invert = invert_grid if model.dim == 1 else invert_radial
+    f = invert(model, t, np.array([0.0, xv]))
     return float(f.values[1] / f.values[0])
 
 
@@ -168,7 +142,7 @@ def semigroup_ratio(model: ModelSpec, f_nodes: Sequence[float],
     dens = invert_grid(model, t, x - y[::-1])
     p = dens.values[::-1]               # p_t(x - y) on the y grid
     ttf = float(np.trapezoid(p * fv, y))
-    norm = 2.0 * _radial_weight_integral(model, t, 0.0)
+    norm = 2.0 * math.pi * pt_zero(model, t)
     target = float(np.trapezoid(fv, y)) / (2.0 * math.pi)
     return ttf / norm, target
 

@@ -144,3 +144,28 @@ def test_density_rejects_bad_input(capsys, argv, field):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and field in err
+
+
+def test_ratio_limit_rejects_nan_delta(capsys):
+    # NaN passes the sign checks; it must end in an error, not a refusal
+    code, out, err = _run(capsys, "ratio-limit", "--model", "builtin:cauchy",
+                          "--delta", "nan")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "delta" in err
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (("psi", "--model", "builtin:gaussian", "--xi", "0:inf:1"), "0:inf:1"),
+    (("density", "--model", "builtin:gaussian", "--t", "1", "--grid=-1:1:nan"),
+     "-1:1:nan"),
+    (("density", "--model", "builtin:cauchy", "--t", "1", "--grid", "0:1e9:1e-3"),
+     "0:1e9:1e-3"),
+])
+def test_grid_spec_rejected(capsys, argv, spec):
+    # non-finite parts and node counts past the cap end in a typed error
+    # naming the spec, not in a traceback or an allocation failure
+    code, out, err = _run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and f"'{spec}'" in err

@@ -30,6 +30,21 @@ def test_chi_tail_mass_cauchy_oracle():
     # exponent |xi|: tail fraction is e^{-t delta}
     got = chi_tail_mass(builtin_model("cauchy"), 10.0, 1.0)
     assert got == pytest.approx(math.exp(-10.0), rel=1e-8)
+    # the full mass includes [0, 1e-12], which a march from 1e-12 drops
+    got = chi_tail_mass(builtin_model("cauchy"), 100.0, 0.5)
+    assert got == pytest.approx(math.exp(-50.0), rel=1e-11)
+    # in dim n the radial weight u^{n-1} gives regularized upper incomplete
+    # gammas: cauchy gammaincc(n, t delta), gaussian gammaincc(n/2, t delta^2)
+    for n in (1, 2, 3):
+        cauchy = builtin_model("cauchy", dim=n)
+        gaussian = builtin_model("gaussian", dim=n)
+        for t in (1.0, 10.0, 100.0, 1000.0):
+            for delta in (0.1, 0.5, 1.0, 3.0):
+                assert chi_tail_mass(cauchy, t, delta) == pytest.approx(
+                    sp.gammaincc(n, t * delta), rel=1e-10)
+                if n > 1:
+                    assert chi_tail_mass(gaussian, t, delta) == pytest.approx(
+                        sp.gammaincc(0.5 * n, t * delta * delta), rel=1e-10)
 
 
 def test_chi_tail_mass_edge_cases():
@@ -39,6 +54,15 @@ def test_chi_tail_mass_edge_cases():
         chi_tail_mass(m, 0.0, 1.0)
     with pytest.raises(RangeError):
         chi_tail_mass(m, 1.0, -1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(RangeError, match="delta"):
+            chi_tail_mass(m, 1.0, bad)
+        with pytest.raises(RangeError, match="delta"):
+            inf_re_psi_outside(m, bad)
+        with pytest.raises(RangeError, match="x="):
+            ratio_px_p0(m, 1.0, bad)
+    with pytest.raises(RangeError, match="x="):
+        ratio_px_p0(builtin_model("cauchy", dim=2), 1.0, np.array([1.0, math.nan]))
 
 
 def test_inf_re_psi_outside():
