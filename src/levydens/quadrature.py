@@ -1,5 +1,5 @@
-"""Gauss-Legendre panels, series acceleration and the decade tail integral
-of the Fourier side: grid and radial inversion, the radial exponent engine
+"""Gauss-Legendre panels, series acceleration and the decade integrals of
+the Fourier side: grid and radial inversion, the radial exponent engine
 and the ratio-limit masses.  The Laplace route (``pt0_laplace``) keeps its
 own panels, so that its p_t(0) stays a separate computation.
 
@@ -64,6 +64,16 @@ def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:
     u = np.exp(pts.reshape(-1))
     vals = (env(u) * u ** n).reshape(pts.shape)
     return np.sum(half * (vals @ _gl16_w), axis=-1)
+
+
+def _head_integral(env, n: int, a: float, *, panels: int = 3) -> float:
+    """int_0^a env(u) u^{n-1} du, env rising to 1 at 0, decade by decade down
+    from a; the rest [0, u] counts u^n / n, off by under 1e-18 of the total."""
+    total, u = 0.0, a
+    while (1.0 - env(np.array([u]))[0]) * u ** n > 1e-18 * n * total:
+        u *= 0.1
+        total += float(_decade_piece(env, n, np.array([u]), panels=panels)[0])
+    return total + u ** n / n
 
 
 def _tail_integral(env: Callable[[np.ndarray], np.ndarray], t: float, n: int,

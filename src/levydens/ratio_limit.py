@@ -9,8 +9,8 @@ ball vanishes as t grows, which drives the three ratio limits
 locally uniformly.  The operations here exhibit those limits numerically on
 a t-ladder and report every rung rather than claiming a limit.
 
-The L1 norm of e^{-t psi} is (2 pi)^n p_t(0) from ``pt_zero``; its part
-outside the ball is ``quadrature._tail_integral`` from delta.
+The L1 norm of e^{-t psi} is split at |xi| = delta: ``quadrature``'s
+``_head_integral`` sums the inside and ``_tail_integral`` the outside.
 """
 
 from __future__ import annotations
@@ -24,11 +24,10 @@ import numpy as np
 from .errors import RangeError, UnsupportedModelError
 from .levy_core import ModelSpec, re_psi_profile
 from .inversion import invert_grid, invert_radial, pt_zero
-from .measures import sphere_surface
-from .quadrature import _tail_integral
+from .quadrature import _head_integral, _tail_integral
 
 _T_LADDER = (1.0, 10.0, 100.0, 1000.0)
-_TAIL_PANELS = 64     # GL-16 panels per decade of the chi_t tail mass
+_MASS_PANELS = 64     # GL-16 panels per decade of the e^{-t psi} masses
 
 
 @dataclass(frozen=True)
@@ -57,21 +56,23 @@ class RatioReport:
         }
 
 
+def _masses(model: ModelSpec, t: float, delta: float) -> Tuple[float, float]:
+    """(int_0^delta, int_delta^inf) of e^{-t Re psi(u)} u^{n-1} du."""
+    pt_zero(model, t)                   # integrability probe; raises refusal
+    profile = re_psi_profile(model, 1e12)
+    env = lambda u: np.exp(-t * profile(u))
+    return (_head_integral(env, model.dim, delta, panels=_MASS_PANELS),
+            _tail_integral(env, t, model.dim, delta, panels=_MASS_PANELS))
+
+
 def chi_tail_mass(model: ModelSpec, t: float, delta: float) -> float:
     """Fraction of the L1 norm of e^{-t psi} outside |xi| > delta."""
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     if not 0.0 <= delta < math.inf:
         raise RangeError(f"delta={delta} must be nonnegative and finite")
-    p0 = pt_zero(model, t)              # integrability probe; raises refusal
-    if delta == 0.0:
-        return 1.0
-    n = model.dim
-    full = (2.0 * math.pi) ** n * p0 / sphere_surface(n)
-    profile = re_psi_profile(model, 1e12)
-    env = lambda u: np.exp(-t * profile(u))
-    tail = _tail_integral(env, t, n, delta, panels=_TAIL_PANELS)
-    return min(1.0, tail / full)
+    head, tail = _masses(model, t, delta)
+    return tail / (head + tail)
 
 
 def inf_re_psi_outside(model: ModelSpec, delta: float) -> Tuple[float, bool]:
@@ -142,7 +143,7 @@ def semigroup_ratio(model: ModelSpec, f_nodes: Sequence[float],
     dens = invert_grid(model, t, x - y[::-1])
     p = dens.values[::-1]               # p_t(x - y) on the y grid
     ttf = float(np.trapezoid(p * fv, y))
-    norm = 2.0 * math.pi * pt_zero(model, t)
+    norm = 2.0 * sum(_masses(model, t, 1.0))    # Re psi is even in dim 1
     target = float(np.trapezoid(fv, y)) / (2.0 * math.pi)
     return ttf / norm, target
 

@@ -45,6 +45,15 @@ def test_chi_tail_mass_cauchy_oracle():
                 if n > 1:
                     assert chi_tail_mass(gaussian, t, delta) == pytest.approx(
                         sp.gammaincc(0.5 * n, t * delta * delta), rel=1e-10)
+    # exponent |xi|^alpha: gammaincc(n / alpha, t delta^alpha); at alpha = 0.3
+    # and t = 1000 nearly all the mass lies below |xi| = 1e-8
+    for n in (1, 2):
+        for alpha in (0.3, 0.5):
+            stable = builtin_model("stable", dim=n, alpha=alpha)
+            for t in (1.0, 10.0, 100.0, 1000.0):
+                for delta in (0.1, 0.5, 1.0, 3.0):
+                    assert chi_tail_mass(stable, t, delta) == pytest.approx(
+                        sp.gammaincc(n / alpha, t * delta ** alpha), rel=1e-10)
 
 
 def test_chi_tail_mass_edge_cases():
