@@ -2,7 +2,8 @@
 
 Subcommands: psi, density, diagnose, nu-dist, asymptotics, ratio-limit,
 classify, selftest.  Exit codes: 0 success, 2 refusal (a meaningful "no
-density / not integrable at this t" verdict), 1 error.  CSV output carries
+density / not integrable at this t" verdict), 1 error, usage errors
+included.  CSV output carries
 '#'-prefixed metadata lines echoing the fully resolved configuration; JSON
 output embeds the same under the "config" key.
 """
@@ -196,8 +197,17 @@ def _cmd_selftest(args) -> int:
     return run_all()
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, as every other error does: argparse's 2 is the
+    refusal verdict here."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="levydens",
         description="Transition-density toolkit for Levy processes")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -257,8 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, needs_model=False)
     p.set_defaults(fn=_cmd_selftest, default_format="json")
 
-    # let grid specs like -10:10:0.01 pass as option values
-    matcher = re.compile(r"^-\d+(\.\d+)?(:-?\d+(\.\d+)?)*$")
+    # let grid specs like -10:10:0.01 or -1e-1:1e-1:1e-2 pass as option
+    # values: every part in the float syntax _parse_grid reads, so that a
+    # non-finite part reaches its finiteness check
+    num = r"(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)"
+    matcher = re.compile(rf"^-{num}(?::[-+]?{num})*$", re.IGNORECASE)
     parser._negative_number_matcher = matcher
     for action in parser._subparsers._group_actions:
         for sp in getattr(action, "choices", {}).values():

@@ -42,6 +42,16 @@ node blocks of at most ``_FOLD_CHUNK`` samples, and one decade tail
 integral and one repeated-averaging pass serve every node.  Only x = 0 and
 the few nodes with a slow phase near it go one by one.  The GL panels, the
 accelerator and the tail integral are those of ``quadrature``.
+
+The 2-d lattice (``_lattice_sum_2d``) sums a radial F on a square frequency
+lattice as a product of two cosine matrices around the samples.  F(|xi|)
+is symmetric in the two axes, so only the half of the lattice on and above
+the diagonal is sampled, the diagonal at half weight, in row blocks of at
+most ``_LATTICE_BLOCK`` samples.  One fine pass serves the Richardson step:
+the coarse lattice is its even sub-lattice, and the blocks start on even
+rows, so the coarse sums come from the same samples.  The wrap-length
+search ends with a probe on that coarse lattice, and the fine pass reads it
+too, at three extra points stacked under the output nodes.
 """
 
 from __future__ import annotations
@@ -69,6 +79,7 @@ from .quadrature import (
     _gl12_x,
     _gl16_w,
     _gl16_x,
+    _head_integral,
     _panel_sum,
     _tail_integral,
 )
@@ -538,7 +549,7 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
     return out / math.pi, (proj_err + rem_err) / math.pi
 
 
-_OSC_PANELS = 240     # half-period panels of the oscillatory tail, per node
+_OSC_PANELS = 240     # half-period panels of an oscillatory tail, per node or radius
 
 
 def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
@@ -735,29 +746,68 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
                         imag_residue=residue)
 
 
-_LATTICE_BLOCK = 1 << 18    # lattice samples evaluated at once
+_LATTICE_BLOCK = 1 << 16    # lattice samples evaluated at once
 
 
-def _lattice_sum_2d(Fr, dxi: float, n1: int, pts_x: np.ndarray,
-                    pts_y: np.ndarray) -> np.ndarray:
-    """(dxi/2pi)^2 trapezoid of Fr(|xi|) e^{-i x.xi} on a square lattice.
+def _lattice_sum_2d(Fr, dxi: float, n: int, pts_x: np.ndarray,
+                    pts_y: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(dxi/2pi)^2 trapezoid of Fr(|xi|) e^{-i x.xi} on the square lattice
+    xi = dxi (a, b), |a|, |b| <= n, at the points pts_x x pts_y; and the
+    same at step 2 dxi over its even sub-lattice, from the same samples (a
+    trapezoid sum when n is even).  Returns (fine, coarse).
 
-    Fr takes radii; symmetry makes the result the product of two cosine
-    matrices around the radial samples.  The samples are built and applied
-    in row blocks, so no (n1 + 1)^2 array exists."""
-    # evenness in both axes folds the sum onto one quadrant
-    xi = np.arange(0, n1 + 1) * dxi
+    Fr takes radii, so evenness in both axes folds the sum onto one quadrant
+    and makes it the product C1 S C2^T of two cosine matrices around the
+    radial samples S.  S is symmetric: with U its half a <= b, diagonal at
+    half weight, C1 S C2^T = C1 U C2^T + (C2 U C1^T)^T, so only U is sampled.
+    The radii are dxi sqrt(a^2 + b^2), from integer squares that are exact
+    in floating point.  U is built in blocks of rows of at most
+    ``_LATTICE_BLOCK`` samples, so no (n + 1)^2 array exists; every block
+    starts on an even row, so its even rows and columns are the coarse
+    lattice's, and the coarse cosine matrices are every other column of the
+    fine ones."""
+    xi = np.arange(n + 1) * dxi
     wfold = np.full_like(xi, 2.0)
     wfold[0] = wfold[-1] = 1.0
-    C1 = np.cos(np.outer(pts_x, xi)) * wfold[None, :]
-    C2 = np.cos(np.outer(pts_y, xi)) * wfold[None, :]
-    out = np.zeros((pts_x.size, pts_y.size))
-    rows = max(1, _LATTICE_BLOCK // xi.size)
-    for a in range(0, xi.size, rows):
-        R = np.hypot(xi[a:a + rows, None], xi[None, :])
-        F = Fr(R.reshape(-1)).reshape(R.shape)
-        out += C1[:, a:a + rows] @ (F @ C2.T)
-    return out * (dxi / (2.0 * math.pi)) ** 2
+    ny = pts_y.size
+    C = np.cos(np.outer(np.concatenate((pts_y, pts_x)), xi)) * wfold   # C2 over C1
+    Cc = C[:, ::2].copy()      # contiguous for the products
+    fine = (np.zeros((pts_x.size, ny)), np.zeros((ny, pts_x.size)))
+    coarse = (np.zeros_like(fine[0]), np.zeros_like(fine[1]))
+
+    def add(sums, Ck, U, lo, hi):
+        # rows lo:hi of U against the columns from lo on, in both orders
+        s, s_t = sums
+        V = U @ Ck[:, lo:].T
+        s += Ck[ny:, lo:hi] @ V[:, :ny]
+        s_t += Ck[:ny, lo:hi] @ V[:, ny:]
+
+    sq = np.arange(n + 1, dtype=float) ** 2
+    a = 0
+    while a <= n:
+        cols = n + 1 - a
+        b = min(a + 2 * max(1, _LATTICE_BLOCK // (2 * cols)), n + 1)
+        R = sq[a:b, None] + sq[a:]
+        np.sqrt(R, out=R)
+        R *= dxi
+        U = Fr(R.reshape(-1)).reshape(R.shape)
+        # the block's lower triangle lies off U; the diagonal, which U and
+        # U^T share, counts half
+        for r in range(1, b - a):
+            U[r, :r] = 0.0
+        U.reshape(-1)[::cols + 1] *= 0.5
+        add(fine, C, U, a, b)
+        add(coarse, Cc, U[::2, ::2], a // 2, (b + 1) // 2)
+        a = b
+    scale = (dxi / (2.0 * math.pi)) ** 2
+    return ((fine[0] + fine[1].T) * scale,
+            (coarse[0] + coarse[1].T) * (4.0 * scale))
+
+
+def _alias_estimate(pv: np.ndarray) -> float:
+    """Alias estimate from the lattice sums at the three wrap-edge probe
+    points (the diagonal of ``pv``)."""
+    return 4.0 * float(np.max(np.abs(np.diag(pv))))
 
 
 def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
@@ -777,28 +827,40 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
     # widen the lattice wrap period until the density probed at the wrap
     # edge (the nearest periodic image) is negligible
     W = 4.0 * reach
-    alias_est = math.inf
-    for _ in range(7):
+    for k in range(7):
         dxi = 2.0 * math.pi / W
         n1 = min(int(math.ceil(Xi / dxi)), 1500)
         e = 0.5 * W
         px = np.array([e, e / math.sqrt(2.0), 0.0])
         py = np.array([0.0, e / math.sqrt(2.0), e])
-        pv = np.diag(_lattice_sum_2d(Fr, dxi, n1, px, py))
-        alias_est = 4.0 * float(np.max(np.abs(pv)))
-        if alias_est < 1e-7 or 2.0 * n1 > 3000:
+        if k == 6:
+            # the last probe, which always ends the search, samples the
+            # coarse Richardson lattice: the fine pass reads it below
+            break
+        alias_est = _alias_estimate(_lattice_sum_2d(Fr, dxi, n1, px, py)[0])
+        if alias_est < 1e-7:
+            px = py = np.empty(0)
             break
         W *= 2.0
     Xi_eff = n1 * dxi
     tail_eff = _tail_integral(env, t, 2, Xi_eff)
 
-    # Richardson pass in the frequency step for the |xi|-kink error
-    p1 = _lattice_sum_2d(Fr, dxi, n1, xs, ys)
-    p2 = _lattice_sum_2d(Fr, 0.5 * dxi, 2 * n1, xs, ys)
+    # Richardson pass in the frequency step for the |xi|-kink error; the
+    # coarse lattice is the even sub-lattice of the fine one.  x = 0 is
+    # stacked last: F is positive, so the sums there are the summed sample
+    # magnitudes.  The rounding estimate is eps times those and log2 of the
+    # fine lattice's sample count, as the 1-d route takes it
+    nx, ny = xs.size, ys.size
+    p2, p1 = _lattice_sum_2d(Fr, 0.5 * dxi, 2 * n1, np.concatenate((xs, px, [0.0])),
+                             np.concatenate((ys, py, [0.0])))
+    if px.size:
+        alias_est = _alias_estimate(p1[nx:-1, ny:-1])
+    rounding = _EPS * (4.0 * p2[-1, -1] + p1[-1, -1]) / 3.0 * math.log2((4 * n1 + 1) ** 2)
+    p1, p2 = p1[:nx, :ny], p2[:nx, :ny]
     vals = (4.0 * p2 - p1) / 3.0
     mass = float(np.trapezoid(np.trapezoid(vals, ys, axis=1), xs))
     tail_bound = (tail_eff / (2.0 * math.pi) ** 2 * 2.0 * math.pi
-                  + alias_est + float(np.max(np.abs(p2 - p1))) / 3.0)
+                  + alias_est + float(np.max(np.abs(p2 - p1))) / 3.0 + rounding)
     return DensityField(kind="grid", dim=2, t=t, nodes=(xs, ys), values=vals,
                         mass=mass, tail_bound=tail_bound)
 
@@ -833,7 +895,7 @@ def pt_zero(model: ModelSpec, t: float) -> float:
         raise IntegrabilityRefusal(
             f"int e^(-t Re psi) diverges at t={t}",
             diagnostics={"t": t, "dim": n})
-    head = 1e-8 ** n / n            # int_0^{1e-8} u^{n-1} du, e^{-t psi} ~ 1
+    head = _head_integral(env, n, 1e-8)
     return sphere_surface(n) * (head + tail_all) / (2.0 * math.pi) ** n
 
 
@@ -885,28 +947,32 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
                 if env(np.array([u]))[0] * u ** (n - 1) < 1e-22 * abs(total):
                     break
             u_big = u
-        # oscillatory tail in half periods of the Bessel kernel
-        step = math.pi / r
-        terms = []
-        u = u_big
-        tail_est = 0.0
-        for _ in range(240):
-            seg = _panel_sum(f, np.array([u, u + step]), _gl12_x, _gl12_w)
-            terms.append(seg)
-            u += step
-            left = _tail_integral(env, t, n, u)
-            if math.isinf(left):
-                raise IntegrabilityRefusal(
-                    f"envelope tail diverges at t={t}", diagnostics={"t": t})
-            if left < 1e-16:
-                tail_est = left
-                total += math.fsum(terms)
-                terms = None
-                break
-        if terms is not None:
-            acc, est = _accelerated(np.asarray(terms))
+        # oscillatory tail in half periods of the Bessel kernel, summed
+        # plainly up to the first panel end whose envelope tail is under
+        # 1e-16, else accelerated over all the panels; the ends' tails are
+        # taken in blocks of 1, 2, 4, ... ends
+        ends = np.full(_OSC_PANELS + 1, math.pi / r)
+        ends[0] = u_big
+        np.cumsum(ends, out=ends)
+        stop = None
+        lo, size = 1, 1
+        while stop is None and lo <= _OSC_PANELS:
+            for k, left in enumerate(_tail_integral(env, t, n, ends[lo:lo + size]).tolist(),
+                                     lo):
+                if math.isinf(left):
+                    raise IntegrabilityRefusal(
+                        f"envelope tail diverges at t={t}", diagnostics={"t": t})
+                if left < 1e-16:
+                    stop, tail_est = k, left
+                    break
+            lo, size = lo + size, 2 * size
+        terms = [_panel_sum(f, ends[k:k + 2], _gl12_x, _gl12_w)
+                 for k in range(stop or _OSC_PANELS)]
+        if stop is not None:
+            total += math.fsum(terms)
+        else:
+            acc, tail_est = _accelerated(np.asarray(terms))
             total += acc
-            tail_est = est
         vals[i] = pref * total
         worst_tail = max(worst_tail, pref * tail_est)
     order = np.argsort(radii)

@@ -132,6 +132,21 @@ def test_negative_grid_bounds_parse(capsys):
     assert code == 0
 
 
+def test_exponent_grid_spec_after_space(capsys):
+    code, out, _ = _run(capsys, "density", "--model", "builtin:gaussian",
+                        "--t", "1", "--grid", "-1e-1:1e-1:1e-2")
+    assert code == 0
+    assert len([ln for ln in out.splitlines() if ln and ln[0] in "-0123456789"]) == 21
+
+
+def test_usage_error_exit_code(capsys):
+    # a usage error is an error (1), not the refusal verdict (2)
+    with pytest.raises(SystemExit) as exc:
+        run(["density", "--model", "builtin:gaussian", "--t", "1"])
+    assert exc.value.code == 1
+    assert "--grid" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv, field", [
     (("--model", "builtin:gaussian", "--t", "inf"), "t="),
     (("--model", "builtin:stable:alpha=nan", "--t", "1"), "'alpha'"),
@@ -161,6 +176,8 @@ def test_ratio_limit_rejects_nan_delta(capsys):
      "-1:1:nan"),
     (("density", "--model", "builtin:cauchy", "--t", "1", "--grid", "0:1e9:1e-3"),
      "0:1e9:1e-3"),
+    (("density", "--model", "builtin:gaussian", "--t", "1", "--grid", "-1:1:nan"),
+     "-1:1:nan"),
 ])
 def test_grid_spec_rejected(capsys, argv, spec):
     # non-finite parts and node counts past the cap end in a typed error

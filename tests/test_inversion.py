@@ -35,6 +35,7 @@ from levydens.inversion import (
     pt_zero,
 )
 from levydens.levy_core import builtin_model, re_psi_profile
+from levydens.measures import sphere_surface
 
 
 def test_gaussian_grid_matches_heat_kernel():
@@ -84,6 +85,18 @@ def test_pt_zero_oracles():
     # dim 2 gaussian: (2 pi)^{-2} (pi / t) = 1 / (4 pi t)
     assert pt_zero(builtin_model("gaussian", dim=2), 1.0) == pytest.approx(
         1.0 / (4.0 * math.pi), rel=1e-8)
+
+
+@pytest.mark.parametrize("name, alpha, dim, t", [
+    ("stable", 0.3, 1, 1000.0), ("stable", 0.3, 2, 1000.0), ("cauchy", 1.0, 1, 1e4),
+])
+def test_pt_zero_head_at_large_time(name, alpha, dim, t):
+    # most of the mass lies near or below |xi| = 1e-8: the head [0, 1e-8]
+    # taken as if e^{-t Re psi} were 1 there was off by 10x at alpha = 0.3
+    m = builtin_model(name, dim=dim, **({"alpha": alpha} if name == "stable" else {}))
+    want = (sphere_surface(dim) * (2.0 * math.pi) ** -dim * math.gamma(dim / alpha)
+            / (alpha * t ** (dim / alpha)))
+    assert pt_zero(m, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_radial_matches_grid():
@@ -356,19 +369,61 @@ def test_memory_guard(name, t, grid, limit_mb):
     assert _traced_peak(lambda: invert_grid(model, t, grid)) < limit_mb * 1e6
 
 
-def test_lattice_blocks_match_full_product():
-    xs = np.linspace(-2.0, 2.0, 9)
-    ys = np.linspace(-1.0, 3.0, 7)
-    Fr = lambda r: np.exp(-r)
-    dxi, n1 = 0.02, 1500
-    got = _lattice_sum_2d(Fr, dxi, n1, xs, ys)
-    xi = np.arange(n1 + 1) * dxi
+_X41 = (np.arange(41) - 20) * 0.1
+_X21 = (np.arange(21) - 10) * 0.15
+
+
+@pytest.mark.parametrize("family, t, xs, ys, tol", [
+    ("gaussian", 1.0, _X41, _X41, 1e-8), ("gaussian", 1.3, _X41, _X41, 1e-8),
+    ("cauchy", 1.0, _X41, _X41, 1e-6), ("cauchy", 1.3, _X41, _X41, 1e-6),
+    ("gaussian", 1.0, _X21, _X21 + 0.75, 1e-8), ("cauchy", 1.0, _X21, _X21 + 0.75, 1e-6),
+])
+def test_lattice_matches_closed_form(family, t, xs, ys, tol):
+    f = invert_grid(builtin_model(family, dim=2), t, (xs, ys))
+    ref = np.array([[closed_form(family, t, np.array([x, y]), dim=2) for y in ys]
+                    for x in xs])
+    err = float(np.max(np.abs(f.values - ref)))
+    assert err <= f.tail_bound
+    assert err <= tol
+
+
+def test_lattice_exponent_points(monkeypatch):
+    # the 41x41 cauchy lattice sampled both triangles of the symmetric
+    # lattice, its coarse pass and its last alias probe apart: 19.4 M points
+    seen = {"points": 0}
+    real = inversion.re_psi_profile
+
+    def counted(model, u_max):
+        profile = real(model, u_max)
+
+        def f(u):
+            seen["points"] += int(np.size(u))
+            return profile(u)
+        return f
+    monkeypatch.setattr(inversion, "re_psi_profile", counted)
+    invert_grid(builtin_model("cauchy", dim=2), 1.0, (_X41, _X41))
+    assert seen["points"] <= 9_000_000
+
+
+def _full_lattice_product(Fr, dxi, n, xs, ys):
+    xi = np.arange(n + 1) * dxi
     w = np.full_like(xi, 2.0)
     w[0] = w[-1] = 1.0
     F = Fr(np.hypot(xi[:, None], xi[None, :]))
     ref = (np.cos(np.outer(xs, xi)) * w) @ F @ (np.cos(np.outer(ys, xi)) * w).T
-    ref *= (dxi / (2.0 * math.pi)) ** 2
-    assert _rel(got, ref) <= 1e-13
+    return ref * (dxi / (2.0 * math.pi)) ** 2
+
+
+def test_lattice_blocks_match_full_product():
+    # n spans many row blocks; the coarse sums are those at step 2 dxi
+    Fr = lambda r: np.exp(-r)
+    dxi, n1 = 0.02, 1500
+    assert (n1 + 1) ** 2 > 8 * inversion._LATTICE_BLOCK
+    xs = np.linspace(-2.0, 2.0, 9)
+    for ys in (np.linspace(-1.0, 3.0, 7), xs):
+        got, coarse = _lattice_sum_2d(Fr, dxi, n1, xs, ys)
+        assert _rel(got, _full_lattice_product(Fr, dxi, n1, xs, ys)) <= 1e-13
+        assert _rel(coarse, _full_lattice_product(Fr, 2.0 * dxi, n1 // 2, xs, ys)) <= 1e-13
 
 
 # -- the tail corrections, batched across nodes -------------------------------
