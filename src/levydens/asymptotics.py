@@ -75,17 +75,19 @@ class AsymptoticReport:
 def doubling_report(model: ModelSpec, x_range: Tuple[float, float]) -> Tuple[float, float]:
     """Sup of nu(2x)/nu(x) over the window and alpha = ln C / ln 2.
 
-    A ratio that keeps growing across the window (no polynomial envelope)
-    is reported as (inf, inf): the doubling property fails.
+    A ratio that keeps growing across the window (no polynomial envelope),
+    or one that is not finite (nu(x) = 0 or nu(2x) = inf), is reported as
+    (inf, inf): the doubling property fails.
     """
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi):
         raise RangeError(f"invalid doubling window [{x_lo}, {x_hi}]")
     rearrangement.build_table(model, 2.0 * x_hi, x_min=min(x_lo, 1e-3))
     xs = np.geomspace(x_lo, x_hi, 49)
-    ratios = np.array([
-        rearrangement.nu_dist(model, 2.0 * x) / rearrangement.nu_dist(model, x)
-        for x in xs])
+    # (2x, x) pairs in this order: the counted route's cache depends on it
+    nu = rearrangement.nu_dist(model, np.stack((2.0 * xs, xs), axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = nu[:, 0] / nu[:, 1]
     if not np.all(np.isfinite(ratios)):
         return math.inf, math.inf
     c = float(np.max(ratios))
@@ -173,8 +175,7 @@ def predict_pt0(model: ModelSpec, direction: str = "t_to_0") -> AsymptoticReport
     c_doub, alpha = doubling_report(model, (x_lo, x_hi))
     bounds = None
     if math.isfinite(c_doub):
-        nu_inv_t = np.array([rearrangement.nu_dist(model, 1.0 / float(t))
-                             for t in t_grid])
+        nu_inv_t = rearrangement.nu_dist(model, 1.0 / t_grid)
         scaled = (2.0 * math.pi) ** n * obs / nu_inv_t
         bounds = (float(np.min(scaled)), float(np.max(scaled)), nu_inv_t)
 
@@ -209,7 +210,7 @@ def phi_integrability(phi_model: ModelSpec, kappa: float):
                        "reason": "sublevel measure infinite on the window"}
     if not math.isfinite(c_doub):
         xs = np.geomspace(1.0, x_max, 25)
-        vals = np.array([rearrangement.nu_dist(phi_model, float(x)) for x in xs])
+        vals = rearrangement.nu_dist(phi_model, xs)
         # report the first abscissa where the doubling ratio exceeds any
         # polynomial envelope fitted from the lower half of the window
         half = len(xs) // 2
@@ -219,7 +220,7 @@ def phi_integrability(phi_model: ModelSpec, kappa: float):
         failing = float(xs[bad[0]]) if bad.size else float(xs[-1])
         return False, {"failing_x": failing, "reason": "doubling fails"}
     xs = np.geomspace(1.0, x_max, 49)
-    vals = np.array([rearrangement.nu_dist(phi_model, float(x)) for x in xs])
+    vals = rearrangement.nu_dist(phi_model, xs)
     c = float(np.max(vals / xs ** lam))
     ok = kappa > lam
     return ok, {"c": c, "lambda": lam, "kappa_ok": ok}

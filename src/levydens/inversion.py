@@ -155,7 +155,7 @@ def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
     while True:
         probes = np.geomspace(xi, 2.0 * xi, 9)
         point = float(np.max(env(probes) * probes ** (n - 1)))
-        tail = _tail_integral(env, t, n, xi)
+        tail = _tail_integral(env, n, xi)
         if math.isinf(tail):
             raise IntegrabilityRefusal(
                 f"e^(-t Re psi) tail does not converge at t={t}",
@@ -552,7 +552,7 @@ def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
 _OSC_PANELS = 240     # half-period panels of an oscillatory tail, per node or radius
 
 
-def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
+def _osc_tail_term(Ffun_c, env, Xi, x: np.ndarray,
                    sym: bool) -> Tuple[np.ndarray, np.ndarray]:
     """(1/pi) int_Xi^inf F(xi) e^{-i x xi} d xi for each node of the 1-d
     array x, by half-period panels.
@@ -562,11 +562,12 @@ def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
     ``_FOLD_CHUNK`` samples, then one ``_tail_integral`` over all the panel
     ends tells which nodes have exhausted the envelope (plain sum) and one
     ``_accelerated`` pass averages the partial sums of every node.  The rest
-    go one by one: at x = 0 (one node of a uniform grid) this is the plain
-    tail integral for a symmetric F (= the envelope) and a decade march
-    otherwise; a slow-phase node (|x| Xi < 0.5) marches in decades out to
-    u = 0.5 / |x| and joins the panels from there.  Returns (values, error
-    estimates), one per node."""
+    go one by one: at x = 0 (one node of a uniform grid) a symmetric F gives
+    the plain tail integral of the envelope; a slow-phase node (|x| Xi <
+    0.5) marches in decades out to u = 0.5 / |x| and joins the panels from
+    there, and x = 0 of a non-symmetric F marches for good, with what the
+    envelope leaves past its last decade as the error.  Returns (values,
+    error estimates), one per node."""
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     val = np.zeros(x.size, dtype=complex)
@@ -576,33 +577,19 @@ def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
     panels = ax * Xi >= 0.5
     for j in np.flatnonzero(~panels):
         xj = float(x[j])
-        if xj == 0.0:
-            if sym:
-                tail = _tail_integral(env, t, 1, Xi)
-                val[j], err[j] = complex(tail / math.pi), 1e-8 * tail
-                continue
-            total = 0.0 + 0.0j
-            u = Xi
-            for _ in range(30):
-                pts = np.exp(np.linspace(math.log(u), math.log(10.0 * u), 64))
-                total += complex(np.trapezoid(Ffun_c(pts) * pts, np.log(pts)))
-                u *= 10.0
-                rest = _tail_integral(env, t, 1, u)
-                if rest < 1e-16:
-                    val[j], err[j] = total / math.pi, 1e-12
-                    break
-            else:
-                val[j], err[j] = total / math.pi, rest / math.pi
+        if xj == 0.0 and sym:
+            tail = _tail_integral(env, 1, Xi)
+            val[j], err[j] = complex(tail / math.pi), 1e-8 * tail
             continue
         # phase is slow out to u ~ 1/|x|: march in decades with the phase
         # factor treated as a smooth function, then hand over to half-period
         # panels once the oscillation sets in
-        axj = abs(xj)
+        u_hand = 0.5 / abs(xj) if xj != 0.0 else math.inf
         u = Xi
         head = 0.0 + 0.0j
         exhausted = False
         for _ in range(32):
-            u_next = min(10.0 * u, 0.5 / axj)
+            u_next = min(10.0 * u, u_hand)
             la, lb = math.log(u), math.log(u_next)
             edges_l = np.linspace(la, lb, 4)
             mid = 0.5 * (edges_l[:-1] + edges_l[1:])
@@ -612,13 +599,16 @@ def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
                   * np.exp(-1j * xj * pts) * pts)
             head += complex(np.sum(half[:, None] * _gl16_w[None, :] * fv))
             u = u_next
-            if u >= 0.5 / axj - 1e-12:
+            if u >= u_hand - 1e-12:
                 break
-            exhausted = _tail_integral(env, t, 1, u) < 1e-16
+            rest = _tail_integral(env, 1, u)
+            exhausted = rest < 1e-16
             if exhausted:
                 break
         if exhausted:
             val[j], err[j] = head / math.pi, 1e-12
+        elif xj == 0.0:
+            val[j], err[j] = head / math.pi, rest / math.pi
         else:
             start[j], extra[j], panels[j] = u, head, True
     sel = np.flatnonzero(panels)
@@ -636,7 +626,7 @@ def _osc_tail_term(Ffun_c, env, t, Xi, x: np.ndarray,
         fv = Ffun_c(pts.reshape(-1)).reshape(pts.shape)
         terms[a:a + per] = 0.5 * st * np.sum(
             _gl12_w * fv * np.exp(-1j * x[blk, None, None] * pts), axis=-1)
-    leftover = _tail_integral(env, t, 1, start[sel] + step * float(_OSC_PANELS))
+    leftover = _tail_integral(env, 1, start[sel] + step * float(_OSC_PANELS))
     # envelope exhausted inside the panel range: plain sum is exact
     plain = leftover < 1e-15
     sums = np.sum(terms, axis=-1)
@@ -728,7 +718,7 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
             corr[~osc], ce = _filon_tail(env, Xi_eff, x[~osc])
             corr_err = max(corr_err, ce)
     if np.any(osc):
-        c, e = _osc_tail_term(Ffun_c, env, t, Xi_eff, x[osc], sym)
+        c, e = _osc_tail_term(Ffun_c, env, Xi_eff, x[osc], sym)
         corr[osc] = c.real
         corr_err = max([corr_err, *e.tolist()])
     p = p + corr
@@ -843,7 +833,7 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
             break
         W *= 2.0
     Xi_eff = n1 * dxi
-    tail_eff = _tail_integral(env, t, 2, Xi_eff)
+    tail_eff = _tail_integral(env, 2, Xi_eff)
 
     # Richardson pass in the frequency step for the |xi|-kink error; the
     # coarse lattice is the even sub-lattice of the fine one.  x = 0 is
@@ -890,7 +880,7 @@ def pt_zero(model: ModelSpec, t: float) -> float:
         raise UnsupportedModelError("pt_zero needs a radial exponent for dim > 1")
     profile = re_psi_profile(model, 1e12)
     env = lambda u: np.exp(-t * profile(u))
-    tail_all = _tail_integral(env, t, n, 1e-8)
+    tail_all = _tail_integral(env, n, 1e-8)
     if math.isinf(tail_all):
         raise IntegrabilityRefusal(
             f"int e^(-t Re psi) diverges at t={t}",
@@ -957,7 +947,7 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         stop = None
         lo, size = 1, 1
         while stop is None and lo <= _OSC_PANELS:
-            for k, left in enumerate(_tail_integral(env, t, n, ends[lo:lo + size]).tolist(),
+            for k, left in enumerate(_tail_integral(env, n, ends[lo:lo + size]).tolist(),
                                      lo):
                 if math.isinf(left):
                     raise IntegrabilityRefusal(

@@ -335,47 +335,74 @@ def re_psi_profile(model: ModelSpec, u_max: float, u_min: float = 1e-8,
     return cache[key]
 
 
-def g_inverse(model: ModelSpec, x: float, s_max: float = 1e24) -> float:
-    """Generalized inverse of s -> psi at |xi| = sqrt(s), by bisection.
+def _radial_monotone_ok(model: ModelSpec) -> bool:
+    """Cheap probe: isotropic and the radial exponent looks nondecreasing."""
+    if not model.isotropic:
+        return False
+    key = "radial_monotone"
+    cached = model._cache.get(key)
+    if cached is None:
+        fn = re_psi_profile(model, 1e9)
+        u = np.geomspace(1e-8, 1e8, 257)
+        v = fn(u)
+        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
+        cached = bool(np.all(np.diff(v) >= -tol))
+        model._cache[key] = cached
+    return cached
 
-    Returns inf{s >= 0 : g(s) >= x}; g is verified to be numerically
-    nondecreasing on the probed window.
-    """
+
+_LOG_RADIUS_MAX = 700.0    # e^700 still leaves e^9 of floating-point headroom
+
+
+def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    """ln inf{u : Re psi(|xi| = u) >= x} for each positive threshold of x,
+    on a radial exponent that ``_radial_monotone_ok`` accepts; +inf where
+    the exponent stays below x out to u = e^700, and at x = +inf.
+
+    Roots range over hundreds of e-folds near the integrability threshold,
+    so all thresholds bisect together in v = ln u on the exponent table."""
+    fn = re_psi_profile(model, 1e9)
+    step = math.log(8.0)
+    # u^2 and the like overflow to inf far out, which is still an upper bracket
+    with np.errstate(over="ignore"):
+        v_hi = np.zeros_like(x)
+        while True:
+            short = fn(np.exp(v_hi)) < x
+            grow = short & (v_hi <= _LOG_RADIUS_MAX)
+            if not np.any(grow):
+                break
+            v_hi = np.where(grow, v_hi + step, v_hi)
+        v_lo = v_hi - step
+        for _ in range(80):
+            shrink = fn(np.exp(v_lo)) >= x
+            if not np.any(shrink):
+                break
+            v_lo = np.where(shrink, v_lo - step, v_lo)
+            if np.min(v_lo) < -200.0:
+                break
+        for _ in range(60):
+            mid = 0.5 * (v_lo + v_hi)
+            below = fn(np.exp(mid)) < x
+            v_lo = np.where(below, mid, v_lo)
+            v_hi = np.where(below, v_hi, mid)
+        return np.where(short | (x == math.inf), math.inf, 0.5 * (v_lo + v_hi))
+
+
+def g_inverse(model: ModelSpec, x: float) -> float:
+    """Generalized inverse inf{s >= 0 : g(s) >= x} of s -> psi at |xi| =
+    sqrt(s): u^2 of the log-radius bisection on the exponent table."""
     if not model.isotropic:
         raise UnsupportedModelError("g_inverse needs an isotropic model")
     if x < 0:
         raise RangeError("target value must be nonnegative")
     if x == 0.0:
         return 0.0
-    g_s = lambda s: eval_re_psi(model, _radial_vector(model.dim, math.sqrt(s)))
-    # find an upper bracket
-    hi = 1.0
-    while g_s(hi) < x:
-        hi *= 8.0
-        if hi > s_max:
-            raise RangeError(f"target {x} not attained by the exponent below s={s_max:.1e}")
-    # monotonicity probe on [0, hi]
-    probes = np.geomspace(hi * 1e-12, hi, 48)
-    pv = np.array([g_s(s) for s in probes])
-    tol = 1e-9 * (1.0 + np.max(np.abs(pv)))
-    if np.any(np.diff(pv) < -tol):
+    if not _radial_monotone_ok(model):
         raise NotMonotoneError("exponent profile is not nondecreasing on the probed window")
-    lo = 0.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if g_s(mid) >= x:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    return hi
-
-
-def _radial_vector(n: int, u: float) -> np.ndarray:
-    v = np.zeros(n)
-    v[0] = u
-    return v
+    v = float(_level_log_radius(model, np.array([float(x)]))[0])
+    if v == math.inf:
+        raise RangeError(f"target {x} not attained by the exponent below u=e^{_LOG_RADIUS_MAX:g}")
+    return math.exp(2.0 * v)
 
 
 def quadratic_majorant(model: ModelSpec, R: float) -> Tuple[float, float]:

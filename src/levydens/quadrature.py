@@ -76,8 +76,8 @@ def _head_integral(env, n: int, a: float, *, panels: int = 3) -> float:
     return total + u ** n / n
 
 
-def _tail_integral(env: Callable[[np.ndarray], np.ndarray], t: float, n: int,
-                   xi0, *, panels: int = 3):
+def _tail_integral(env: Callable[[np.ndarray], np.ndarray], n: int, xi0, *,
+                   panels: int = 3):
     """int_{xi0}^{inf} env(u) u^{n-1} du, decade by decade, for one lower
     limit xi0 (a float is returned) or an array of them (an array of its
     shape is returned).

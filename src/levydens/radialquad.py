@@ -102,15 +102,13 @@ def one_minus_kernel(n: int, s: np.ndarray) -> np.ndarray:
 class RadialQuadEngine:
     """Evaluates g(u) for one radial profile in a fixed dimension."""
 
-    def __init__(self, dim: int, profile: RadialProfile, tol: float = 1e-9,
-                 one_minus=None, kernel=None):
+    def __init__(self, dim: int, profile: RadialProfile, one_minus=None, kernel=None):
         """Optional ``one_minus``/``kernel`` callables (n, s)->array replace
         the built-in direction-average kernel, e.g. by a Bessel-based one."""
         if dim < 1:
             raise QuadratureError(f"dimension {dim} invalid")
         self.dim = dim
         self.profile = profile
-        self.tol = tol
         self._one_minus = one_minus if one_minus is not None else one_minus_kernel
         self._kernel = kernel if kernel is not None else sphere_avg_cos
 

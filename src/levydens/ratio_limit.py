@@ -62,7 +62,7 @@ def _masses(model: ModelSpec, t: float, delta: float) -> Tuple[float, float]:
     profile = re_psi_profile(model, 1e12)
     env = lambda u: np.exp(-t * profile(u))
     return (_head_integral(env, model.dim, delta, panels=_MASS_PANELS),
-            _tail_integral(env, t, model.dim, delta, panels=_MASS_PANELS))
+            _tail_integral(env, model.dim, delta, panels=_MASS_PANELS))
 
 
 def chi_tail_mass(model: ModelSpec, t: float, delta: float) -> float:

@@ -25,11 +25,16 @@ import numpy as np
 
 from .errors import (
     IntegrabilityRefusal,
-    NotMonotoneError,
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, g_inverse, quadratic_majorant, re_psi_profile
+from .levy_core import (
+    ModelSpec,
+    _level_log_radius,
+    _radial_monotone_ok,
+    quadratic_majorant,
+    re_psi_profile,
+)
 from .measures import ball_volume
 
 _GRID_CELLS_1D = 1 << 20
@@ -58,22 +63,6 @@ class RearrangementTable:
             fh.write("x,nu\n")
             for x, v in zip(self.x_nodes, self.nu_values):
                 fh.write(f"{x!r},{v!r}\n")
-
-
-def _radial_monotone_ok(model: ModelSpec) -> bool:
-    """Cheap probe: isotropic and the radial exponent looks nondecreasing."""
-    if not model.isotropic:
-        return False
-    key = "radial_monotone"
-    cached = model._cache.get(key)
-    if cached is None:
-        fn = re_psi_profile(model, 1e9)
-        u = np.geomspace(1e-8, 1e8, 257)
-        v = fn(u)
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
-        cached = bool(np.all(np.diff(v) >= -tol))
-        model._cache[key] = cached
-    return cached
 
 
 def _field_eval(model: ModelSpec, L: float, ncell: int) -> Tuple[np.ndarray, float, float]:
@@ -153,36 +142,36 @@ def _grid_field(model: ModelSpec, x_max: float) -> Tuple[np.ndarray, float, floa
     return vals, vol, L, boundary
 
 
-def nu_dist(model: ModelSpec, x: float) -> float:
-    """nu(x): Lebesgue measure of the sublevel set {Re psi <= x}."""
-    if x < 0:
+def nu_dist(model: ModelSpec, x):
+    """nu(x): Lebesgue measure of the sublevel set {Re psi <= x}, for a
+    threshold or an array of them (an array of its shape is returned); inf
+    where the set is unbounded."""
+    arr = np.asarray(x, dtype=float)
+    if not np.all(arr >= 0.0):
         raise RangeError("threshold must be nonnegative")
-    if x == 0.0:
-        return 0.0
-    n = model.dim
+    out = np.zeros(arr.shape)
+    pos = arr > 0.0
     if _radial_monotone_ok(model):
-        try:
-            s = g_inverse(model, x)
-        except RangeError:
-            # the exponent stays below x everywhere: full-space sublevel set
-            return math.inf
-        return ball_volume(n) * s ** (0.5 * n)
-    vals, vol, _, boundary = _grid_field(model, x)
-    if boundary:
-        return math.inf
-    return float(np.searchsorted(vals, x, side="right")) * vol
+        out[pos] = _nu_vec(model, arr[pos])
+    else:
+        # the counted field is cached and regrown per threshold, so a count
+        # depends on the thresholds before it: count them one by one, in order
+        out[pos] = [_nu_vec(model, np.array([v]))[0] for v in arr[pos]]
+    return float(out) if arr.ndim == 0 else out
 
 
 def build_table(model: ModelSpec, x_max: float, x_min: float = 1e-3,
                 nodes_per_decade: int = 16) -> RearrangementTable:
     """Distribution-function table on logarithmic nodes over [x_min, x_max]."""
+    for name, val in (("x_min", x_min), ("x_max", x_max)):
+        if not math.isfinite(val):
+            raise RangeError(f"{name}={val} must be finite")
     if not x_max > x_min > 0:
         raise RangeError("need x_max > x_min > 0")
     decades = math.log10(x_max / x_min)
     nodes = np.geomspace(x_min, x_max, int(decades * nodes_per_decade) + 2)
     if _radial_monotone_ok(model):
-        nu = np.array([nu_dist(model, x) for x in nodes])
-        return RearrangementTable(nodes, nu, "radial_bisection")
+        return RearrangementTable(nodes, _nu_vec(model, nodes), "radial_bisection")
     vals, vol, _, boundary = _grid_field(model, x_max)
     nu = np.searchsorted(vals, nodes, side="right").astype(float) * vol
     if boundary:
@@ -224,35 +213,12 @@ def u_star(model: ModelSpec, t: float, s: float) -> float:
 
 
 def _nu_vec(model: ModelSpec, x: np.ndarray) -> np.ndarray:
-    """Vectorized nu on positive thresholds (radial monotone fast path)."""
+    """nu on an array of positive thresholds; inf where the sublevel set is
+    unbounded.  The counted route counts all of them on the field grown
+    for the largest."""
     n = model.dim
     if _radial_monotone_ok(model):
-        fn = re_psi_profile(model, 1e9)
-        step = math.log(8.0)
-        # log-radius brackets: roots range over hundreds of e-folds near the
-        # integrability threshold, so bisect in v = ln u
-        v_hi = np.zeros_like(x)
-        for _ in range(120):
-            grow = fn(np.exp(v_hi)) < x
-            if not np.any(grow):
-                break
-            v_hi = np.where(grow, v_hi + step, v_hi)
-            if np.max(v_hi) > 700.0:
-                raise RangeError("exponent does not reach the requested thresholds")
-        v_lo = v_hi - step
-        for _ in range(80):
-            shrink = fn(np.exp(v_lo)) >= x
-            if not np.any(shrink):
-                break
-            v_lo = np.where(shrink, v_lo - step, v_lo)
-            if np.min(v_lo) < -200.0:
-                break
-        for _ in range(60):
-            mid = 0.5 * (v_lo + v_hi)
-            below = fn(np.exp(mid)) < x
-            v_lo = np.where(below, mid, v_lo)
-            v_hi = np.where(below, v_hi, mid)
-        return ball_volume(n) * np.exp(n * 0.5 * (v_lo + v_hi))
+        return ball_volume(n) * np.exp(n * _level_log_radius(model, x))
     vals, vol, _, boundary = _grid_field(model, float(np.max(x)))
     out = np.searchsorted(vals, x, side="right").astype(float) * vol
     if boundary:
@@ -276,13 +242,12 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
     n = model.dim
 
     def integrand(y):
-        try:
-            nu = _nu_vec(model, y / t)
-        except RangeError as exc:
+        nu = _nu_vec(model, y / t)
+        if np.any(np.isinf(nu)):
             # a threshold the exponent never reaches means nu = +inf there
             raise IntegrabilityRefusal(
-                f"nu is infinite on the Laplace window at t={t}: {exc}",
-                diagnostics={"t": t}) from exc
+                f"nu is infinite on the Laplace window at t={t}",
+                diagnostics={"t": t})
         return nu * np.exp(-y)
 
     def panel(a, b):

@@ -1,6 +1,7 @@
 """Command-line frontend: exit codes, output formats, config echo."""
 
 import json
+import math
 
 import pytest
 
@@ -100,6 +101,30 @@ def test_nu_dist_table(capsys):
             if ln and not ln.startswith("#") and ln[0].isdigit()]
     x, nu = (float(v) for v in rows[-1].split(","))
     assert nu == pytest.approx(2.0 * x ** 0.5, rel=1e-8)
+
+
+def test_nu_dist_table_has_no_inf_rows_where_nu_is_finite(capsys):
+    # ln(1 + xi^2) <= x has length 2 sqrt(e^x - 1), finite for every x
+    code, out, _ = _run(capsys, "nu-dist", "--model", "builtin:sym_gamma",
+                        "--x-max", "100")
+    assert code == 0
+    rows = [ln.split(",") for ln in out.splitlines()
+            if ln and not ln.startswith("#") and ln[0].isdigit()]
+    assert float(rows[-1][0]) == pytest.approx(100.0)
+    for x, nu in rows:
+        want = 2.0 * math.sqrt(math.expm1(float(x)))
+        assert float(nu) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bounds, field", [
+    (("--x-max", "inf"), "x_max"),
+    (("--x-max", "10", "--x-min", "nan"), "x_min"),
+])
+def test_nu_dist_rejects_non_finite_bounds(capsys, bounds, field):
+    code, out, err = _run(capsys, "nu-dist", "--model", "builtin:gaussian", *bounds)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and field in err
 
 
 def test_ratio_limit_subcommand(capsys):

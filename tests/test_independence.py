@@ -14,6 +14,7 @@ Calls are traced, not imports: ``levy_core`` imports ``specfun`` for
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
 from levydens import inversion, quadrature, radialquad, specfun
@@ -46,7 +47,9 @@ def _calls_into(modules, fn, *args):
 
 def _laplace_route(model):
     pt0_laplace(model, 1.0)
-    nu_dist(model, 2.0)
+    # the second threshold lies past the exponent table (u up to 1e9), so
+    # a quadrature-backed model evaluates it through the engine
+    nu_dist(model, np.array([2.0, 3e14]))
 
 
 @pytest.mark.parametrize("name, kw", [

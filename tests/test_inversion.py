@@ -462,10 +462,24 @@ def test_osc_tail_batch_matches_single_nodes(name, t):
     x = np.concatenate(([0.0, 0.05, -0.08], np.linspace(-6.0, 6.0, 48)))
     assert x.size > _FOLD_CHUNK // (_OSC_PANELS * 12)
     F, env, sym = _tail_setup(name, t)
-    val, err = _osc_tail_term(F, env, t, Xi, x, sym)
-    single = [_osc_tail_term(F, env, t, Xi, x[j:j + 1], sym) for j in range(x.size)]
+    val, err = _osc_tail_term(F, env, Xi, x, sym)
+    single = [_osc_tail_term(F, env, Xi, x[j:j + 1], sym) for j in range(x.size)]
     assert np.array_equal(val, np.concatenate([v for v, _ in single]))
     assert np.array_equal(err, np.concatenate([e for _, e in single]))
+
+
+@pytest.mark.parametrize("t, x", [
+    (1.3, np.arange(41) * 0.001),
+    (1.95, np.arange(-8, 33) * 0.0125),
+    (3.0, np.arange(-8, 33) * 0.0125),
+])
+def test_gamma_density_at_zero_within_tail_bound(t, x):
+    # the gamma density vanishes at 0 for t > 1; the x = 0 node of the
+    # one-sided F marches its tail in GL-16 decades, and what the envelope
+    # leaves past the last decade counts in the bound
+    f = invert_grid(builtin_model("gamma"), t, x)
+    assert np.isfinite(f.values).all()
+    assert abs(f.values[x == 0.0][0]) <= f.tail_bound
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -478,11 +492,11 @@ def test_tail_integral_batch_matches_scalar(n):
     for env in (lambda u: np.exp(-u), lambda u: (1.0 + u * u) ** (-0.5 - 0.55 * n),
                 lambda u: np.exp(-u) + 1e-30 * (1.0 + u) ** (-n - 0.1),
                 lambda u: (1.0 + u) ** -n):
-        got = _tail_integral(env, 1.0, n, lims)
-        want = np.array([_tail_integral(env, 1.0, n, float(v)) for v in lims])
-        assert isinstance(_tail_integral(env, 1.0, n, 1.0), float)
+        got = _tail_integral(env, n, lims)
+        want = np.array([_tail_integral(env, n, float(v)) for v in lims])
+        assert isinstance(_tail_integral(env, n, 1.0), float)
         assert np.array_equal(got, want)
-    assert np.isinf(_tail_integral(lambda u: 1.0 / (1.0 + u), 1.0, 1, lims)).all()
+    assert np.isinf(_tail_integral(lambda u: 1.0 / (1.0 + u), 1, lims)).all()
 
 
 def test_accelerated_rows_match_single_rows():

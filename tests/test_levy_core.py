@@ -7,7 +7,12 @@ import pytest
 from scipy.integrate import quad
 
 from levydens import levy_core
-from levydens.errors import ModelFormatError, RangeError, UnsupportedModelError
+from levydens.errors import (
+    ModelFormatError,
+    NotMonotoneError,
+    RangeError,
+    UnsupportedModelError,
+)
 from levydens.levy_core import (
     GAMMA_COMPENSATOR,
     ModelSpec,
@@ -107,6 +112,12 @@ def test_g_inverse_roundtrip():
     assert g_inverse(m, 0.0) == 0.0
     with pytest.raises(RangeError):
         g_inverse(m, -1.0)
+    # past the old s = 1e24 bracket cap
+    assert g_inverse(m, 100.0) == pytest.approx(math.expm1(100.0), rel=1e-12)
+    with pytest.raises(NotMonotoneError):
+        g_inverse(builtin_model("exa3_atoms"), 0.5)
+    with pytest.raises(UnsupportedModelError):
+        g_inverse(builtin_model("gamma"), 0.5)
 
 
 def test_quadratic_majorant_bounds_re_psi():
