@@ -82,9 +82,7 @@ def doubling_report(model: ModelSpec, x_range: Tuple[float, float]) -> Tuple[flo
     x_lo, x_hi = float(x_range[0]), float(x_range[1])
     if not (0.0 < x_lo < x_hi):
         raise RangeError(f"invalid doubling window [{x_lo}, {x_hi}]")
-    rearrangement.build_table(model, 2.0 * x_hi, x_min=min(x_lo, 1e-3))
     xs = np.geomspace(x_lo, x_hi, 49)
-    # (2x, x) pairs in this order: the counted route's cache depends on it
     nu = rearrangement.nu_dist(model, np.stack((2.0 * xs, xs), axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = nu[:, 0] / nu[:, 1]

@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, eval_re_psi, re_psi_profile
+from .levy_core import ModelSpec, _scalar_q, eval_re_psi, re_psi_profile
 from .measures import ball_volume
 from . import rearrangement
 
@@ -126,7 +126,7 @@ def _directions(n: int) -> np.ndarray:
 
 def _re_psi_on_ray(model: ModelSpec, u: np.ndarray) -> np.ndarray:
     """min over the probe directions of Re psi at radius u (liminf proxy)."""
-    if model.measure.is_radial:
+    if model.measure.is_radial and _scalar_q(model) is not None:
         fn = re_psi_profile(model, float(np.max(u)) * 2.0)
         return fn(u)
     dirs = _directions(model.dim)

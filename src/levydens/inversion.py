@@ -9,8 +9,8 @@ Richardson step-halving pass to kill the leading h^2 trapezoid error coming
 from kinks like |xi| at 0.  The step-halving pass doubles M over the same
 window, so the coarse samples are its even samples: they are reused and
 only the new odd samples are evaluated.  A symmetric exponent (no one-sided
-part, no atoms) gives a real even integrand, and only the half axis
-xi >= 0 is sampled.
+part, no point atoms, no drift) gives a real even integrand, and only the
+half axis xi >= 0 is sampled.
 
 The DFT is taken by one of two routes, chosen per inversion by comparing
 their transform costs (``_zoom_pays``), from M, the sample count and the
@@ -71,7 +71,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, eval_psi, re_psi_profile
+from .levy_core import ModelSpec, _scalar_q, eval_psi, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
     _accelerated,
@@ -640,12 +640,11 @@ def _osc_tail_term(Ffun_c, env, Xi, x: np.ndarray,
 
 
 def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
-               weight: Optional[Callable] = None,
-               tail_target: float = _TAIL_TARGET) -> DensityField:
+               weight: Optional[Callable] = None) -> DensityField:
     hx = _uniform_step(x)
     x0 = float(x[0])
     nx = x.size
-    sym = not (model.measure.onesided or model.measure.point_atoms())
+    sym = not (model.measure.onesided or model.measure.point_atoms() or any(model.drift))
     profile = re_psi_profile(model, 1e9)
 
     if weight is None:
@@ -653,7 +652,7 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     else:
         env = lambda u: np.abs(weight(np.abs(u))) * np.exp(-t * profile(np.abs(u)))
     dxi_cap = math.pi / (max(abs(x0), abs(x[-1])) + hx)
-    Xi, tail = _choose_window(env, t, 1, dxi_cap, tail_target=tail_target)
+    Xi, tail = _choose_window(env, t, 1, dxi_cap)
 
     if sym:
         def Ffun(xi):
@@ -667,8 +666,6 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
             xi = np.asarray(xi, dtype=float)
             if model.psi_exact_vec is not None:
                 psis = model.psi_exact_vec(xi.reshape(-1))
-            elif model.psi_exact is not None:
-                psis = np.array([model.psi_exact(u) for u in xi.reshape(-1)])
             else:
                 psis = np.array([eval_psi(model, [u]) for u in xi.reshape(-1)])
             vals = np.exp(-t * psis).reshape(xi.shape)
@@ -805,8 +802,10 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
     ys = np.asarray(grid[1], dtype=float)
     hx = _uniform_step(xs)
     hy = _uniform_step(ys)
-    if not model.measure.is_radial or model.measure.onesided:
-        raise UnsupportedModelError("two-dimensional inversion needs a symmetric radial model")
+    if not model.measure.is_radial or any(model.drift) or _scalar_q(model) is None:
+        raise UnsupportedModelError(
+            "two-dimensional inversion needs a symmetric radial model: a radial "
+            "measure, no drift and a gaussian matrix q I")
     profile = re_psi_profile(model, 1e9)
     env = lambda u: np.exp(-t * profile(u))
     Fr = env
@@ -855,14 +854,13 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
                         mass=mass, tail_bound=tail_bound)
 
 
-def invert_grid(model: ModelSpec, t: float, grid,
-                tail_target: float = _TAIL_TARGET) -> DensityField:
+def invert_grid(model: ModelSpec, t: float, grid) -> DensityField:
     """Density field of model at time t on a uniform spatial grid (dim 1 or 2)."""
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     if model.dim == 1:
         x = np.asarray(grid, dtype=float)
-        return _invert_1d(model, t, x, tail_target=tail_target)
+        return _invert_1d(model, t, x)
     if model.dim == 2:
         return _invert_2d(model, t, grid)
     raise UnsupportedModelError("grid inversion supports dim 1 and 2; use invert_radial")

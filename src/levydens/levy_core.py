@@ -264,10 +264,22 @@ def iso_g(model: ModelSpec, u: float) -> float:
     return 0.5 * q * u * u + _jump_re_at_radius(model, float(u), route="h")
 
 
+def _scalar_q(model: ModelSpec) -> Optional[float]:
+    """q when Q = q I, as always in dim 1; else None: Re psi is then no
+    function of |xi|."""
+    q = model.q_matrix
+    scalar = model.isotropic or model.dim == 1 or \
+        np.allclose(q, q[0, 0] * np.eye(model.dim), atol=1e-12)
+    return float(q[0, 0]) if scalar else None
+
+
 def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized u -> Re psi(|xi|=u) for radial models; used by pipelines."""
+    q = _scalar_q(model)
+    if q is None:
+        raise UnsupportedModelError("Re psi is not a function of |xi|: field "
+                                    "'gaussian' is not a multiple of the identity")
     if model.g_exact is not None:
-        q = float(model.q_matrix[0, 0]) if model.isotropic else 0.0
         g = model.g_exact
         if q == 0.0:
             # adding 0 * u^2 changes no finite value; skip the pass over u
@@ -276,8 +288,7 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
 
     def direct(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.array([_jump_re_at_radius(model, x) for x in u]) + \
-            0.5 * float(model.q_matrix[0, 0]) * u * u
+        return np.array([_jump_re_at_radius(model, x) for x in u]) + 0.5 * q * u * u
 
     prof = model.measure.radial_profile(model.dim)
     if prof is None:
@@ -286,7 +297,6 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
         radius_atoms = model.measure.radial_atoms()
         radii = np.array([a for a, _ in radius_atoms])
         masses = np.array([b for _, b in radius_atoms])
-        q = float(model.q_matrix[0, 0]) if model.isotropic else 0.0
 
         def atoms_fn(u):
             u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -301,8 +311,7 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     return direct
 
 
-def re_psi_profile(model: ModelSpec, u_max: float, u_min: float = 1e-8,
-                   pts_per_decade: int = 48) -> Callable[[np.ndarray], np.ndarray]:
+def re_psi_profile(model: ModelSpec, u_max: float) -> Callable[[np.ndarray], np.ndarray]:
     """Fast vectorized radial exponent over [0, u_max].
 
     Closed forms and atom sums evaluate directly; engine-backed profiles are
@@ -311,12 +320,11 @@ def re_psi_profile(model: ModelSpec, u_max: float, u_min: float = 1e-8,
     base = _re_psi_radial_fn(model)
     if model.g_exact is not None or model.measure.radial_profile(model.dim) is None:
         return base
-    key = ("profile", round(math.log10(u_min)), math.ceil(math.log10(max(u_max, 1e-7))), pts_per_decade)
+    key = ("profile", math.ceil(math.log10(max(u_max, 1e-7))))
     cache = model._cache
     if key not in cache:
-        hi = 10.0 ** math.ceil(math.log10(max(u_max, 1e-7)))
-        decades = math.log10(hi / u_min)
-        grid = np.geomspace(u_min, hi, int(decades * pts_per_decade) + 1)
+        hi = 10.0 ** key[1]
+        grid = np.geomspace(1e-8, hi, int(math.log10(hi / 1e-8) * 48) + 1)   # 48 a decade
         vals = base(grid)
         if np.all(vals > 0):
             interp = PchipInterpolator(np.log(grid), np.log(vals), extrapolate=False)
@@ -410,7 +418,7 @@ def quadratic_majorant(model: ModelSpec, R: float) -> Tuple[float, float]:
 
     c = ||Q||/2 + int_{|y|<=R} |y|^2 nu(dy) and d = 2 nu(B_R^c), since the
     cosine-kernel deficit 1 - cos (and its spherical average) never exceeds
-    2 per unit mass; used by the inversion module for grid sizing.
+    2 per unit mass.
     """
     if R <= 0:
         raise RangeError("majorant radius must be positive")

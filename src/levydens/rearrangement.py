@@ -11,15 +11,20 @@ The last form is a Laplace transform of nu and is evaluated here through a
 pipeline independent of the Fourier-side integration in the inversion module.
 
 For isotropic models with a nondecreasing radial exponent the sublevel sets
-are balls and nu comes from inverting the radial profile; otherwise (dim
-<= 2) the measure is counted on a uniform cell lattice.
+are balls and nu comes from inverting the radial profile.  Otherwise (dim
+<= 2) cells are counted on fixed nested shells: box k = [-8 2^k, 8 2^k]^n,
+k = 0 .. 20, has 2^16 cells per axis in dim 1 and 2^10 in dim 2, and shell
+k is the cells of box k outside box k - 1.  With edge_k the least Re psi on
+the outermost 1 % layer of box k and K(x) the first k with edge_k > x,
+nu(x) = sum_{k <= K(x)} cell_k #{cells of shell k with Re psi <= x}, and inf
+when no edge exceeds x: nondecreasing, and the same whatever came before.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,14 +37,15 @@ from .levy_core import (
     ModelSpec,
     _level_log_radius,
     _radial_monotone_ok,
-    quadratic_majorant,
+    _scalar_q,
+    eval_re_psi,
     re_psi_profile,
 )
 from .measures import ball_volume
 
-_GRID_CELLS_1D = 1 << 20
-_GRID_CELLS_2D = 1 << 10          # per axis
-_BOX_CAP = 1e7
+_SHELLS = 21                       # boxes k = 0 .. 20
+_BOX0 = 8.0                        # box 0 is [-8, 8]^n
+_CELLS = {1: 1 << 16, 2: 1 << 10}  # cells per axis in every box
 
 
 @dataclass(frozen=True)
@@ -47,8 +53,8 @@ class RearrangementTable:
     """Tabulated distribution function of Re psi.
 
     ``nu_values[i]`` is the measure of {Re psi <= x_nodes[i]}; ``method``
-    records how it was obtained, ``cell_size`` the lattice resolution for
-    the counted variant (0 for the radial closed route).
+    records how it was obtained.  ``cell_size`` is the cell volume of shell
+    0, the finest of the counted variant's shells (0 for the radial route).
     """
 
     x_nodes: np.ndarray
@@ -65,81 +71,66 @@ class RearrangementTable:
                 fh.write(f"{x!r},{v!r}\n")
 
 
-def _field_eval(model: ModelSpec, L: float, ncell: int) -> Tuple[np.ndarray, float, float]:
-    """Re psi on a centred lattice of ncell (per axis) cells over [-L, L]^n.
+class _Shell(NamedTuple):
+    vals: np.ndarray     # sorted Re psi at the centres of the cells with xi_1 > 0
+    cell: float          # cell volume
+    edge: float          # least Re psi on the outermost 1 % layer of the box
 
-    Returns (values flat, cell volume, edge_min = smallest value on the
-    outermost one-percent layer)."""
-    fn = re_psi_profile(model, 1e9) if model.measure.is_radial else None
-    if model.dim == 1:
-        cell = 2.0 * L / ncell
-        xi = -L + (np.arange(ncell) + 0.5) * cell
-        if fn is not None:
-            vals = fn(np.abs(xi))
-        else:
-            from .levy_core import eval_re_psi
-            vals = np.array([eval_re_psi(model, [x]) for x in xi])
-        layer = max(ncell // 100, 1)
-        edge_min = float(min(np.min(vals[:layer]), np.min(vals[-layer:])))
-        return vals, cell, edge_min
-    cell = 2.0 * L / ncell
-    ax = -L + (np.arange(ncell) + 0.5) * cell
-    if fn is not None:
-        R = np.hypot(ax[:, None], ax[None, :])
-        vals = fn(R.reshape(-1))
+
+def _build_shell(model: ModelSpec, k: int) -> _Shell:
+    """Shell k: the cells of box k outside box k - 1 (all of box 0).
+
+    Re psi is even, so only the cells with xi_1 > 0 are evaluated, each
+    standing for itself and its mirror image."""
+    n = model.dim
+    N = _CELLS[n]
+    h = 2.0 * _BOX0 * 2.0 ** k / N
+    # cell i spans [i h, (i + 1) h]; ring counts the cells out from the centre
+    i = np.arange(-N // 2, N // 2)
+    axes = np.meshgrid(i[N // 2:], *([i] * (n - 1)), indexing="ij")
+    ring = np.maximum.reduce([np.maximum(a, -a - 1) for a in axes])
+    keep = ring >= N // 4 if k else np.ones(ring.shape, dtype=bool)
+    xi = [(a[keep] + 0.5) * h for a in axes]
+    if model.measure.is_radial and _scalar_q(model) is not None:
+        fn = re_psi_profile(model, 1e9)
+        vals = fn(xi[0] if n == 1 else np.hypot(*xi))
     else:
-        from .levy_core import eval_re_psi
-        vals = np.array([eval_re_psi(model, [a, b]) for a in ax for b in ax])
-    V = vals.reshape(ncell, ncell)
-    layer = max(ncell // 100, 1)
-    edge_min = float(min(np.min(V[:layer]), np.min(V[-layer:]),
-                         np.min(V[:, :layer]), np.min(V[:, -layer:])))
-    return vals, cell ** model.dim, edge_min
+        vals = np.array([eval_re_psi(model, p) for p in np.stack(xi, axis=-1)])
+    edge = float(np.min(vals[ring[keep] >= N // 2 - N // 100]))
+    return _Shell(np.sort(vals), h ** n, edge)
 
 
-def _grid_field(model: ModelSpec, x_max: float) -> Tuple[np.ndarray, float, float, bool]:
-    """Sorted Re psi samples on a centred lattice covering {Re psi <= x_max}.
-
-    Returns (sorted values, cell volume, box half-width, boundary_hit).  The
-    box is doubled (on a coarse probe lattice) until the outermost cell layer
-    carries no sublevel cells, then sampled at full resolution and cached.
-    boundary_hit=True signals a sublevel set reaching the box cap, for which
-    the counted measure is only a lower bound (reported as +inf upstream).
-
-    Exponents with narrow sublevel channels recurring at ever larger scales
-    (dyadic atom constructions) can evade the edge-layer probe; counts are
-    then lower bounds at the reported cell resolution and may grow when a
-    later, larger threshold enlarges the cached box.
-    """
+def _shells_through(model: ModelSpec, k: int) -> list:
+    """Shells 0 .. k, built once per model in order and cached."""
     if model.dim > 2:
         raise UnsupportedModelError(
             "sublevel measures for non-monotone exponents support dim <= 2")
-    cached = model._cache.get("gridfield")
-    if cached is not None:
-        if x_max < cached["edge_min"]:
-            return cached["vals"], cached["vol"], cached["L"], False
-        if cached["boundary"] and x_max >= cached["x_req"]:
-            return cached["vals"], cached["vol"], cached["L"], True
-    c, d = quadratic_majorant(model, 1.0)
-    L = 2.0 * math.sqrt(max(x_max - d, 0.0) / max(c, 1e-300)) if c > 0 else 8.0
-    L = max(L, 8.0)
-    n_probe = (1 << 14) if model.dim == 1 else (1 << 8)
-    boundary = False
-    while True:
-        _, _, edge_min = _field_eval(model, L, n_probe)
-        if x_max < edge_min:
-            break
-        if 2.0 * L > _BOX_CAP:
-            boundary = True
-            break
-        L *= 2.0
-    n_fine = _GRID_CELLS_1D if model.dim == 1 else _GRID_CELLS_2D
-    vals, vol, edge_min = _field_eval(model, L, n_fine)
-    vals = np.sort(vals)
-    model._cache["gridfield"] = {"vals": vals, "vol": vol, "L": L,
-                                 "edge_min": edge_min, "boundary": boundary,
-                                 "x_req": x_max if boundary else math.inf}
-    return vals, vol, L, boundary
+    shells = model._cache.setdefault("shells", [])
+    while len(shells) <= k:
+        shells.append(_build_shell(model, len(shells)))
+    return shells[:k + 1]
+
+
+def _count(shells: list, x: np.ndarray) -> np.ndarray:
+    """sum over the shells of cell_k #{Re psi <= x}, a mirror pair per value."""
+    out = np.zeros(np.shape(x))
+    for sh in shells:
+        out += 2.0 * sh.cell * np.searchsorted(sh.vals, x, side="right")
+    return out
+
+
+def _counted_nu(model: ModelSpec, x: np.ndarray) -> np.ndarray:
+    x_max, last = np.max(x, initial=0.0), 0
+    # shells through K(x_max), or all of them when no edge exceeds x_max
+    while last < _SHELLS - 1 and _shells_through(model, last)[last].edge <= x_max:
+        last += 1
+    shells = _shells_through(model, last)
+    above = np.array([sh.edge for sh in shells]) > x[:, None]
+    K = np.where(np.any(above, axis=1), np.argmax(above, axis=1), -1)
+    out = np.full(x.shape, math.inf)
+    for k in np.unique(K[K >= 0]):
+        out[K == k] = _count(shells[:k + 1], x[K == k])
+    return out
 
 
 def nu_dist(model: ModelSpec, x):
@@ -151,17 +142,11 @@ def nu_dist(model: ModelSpec, x):
         raise RangeError("threshold must be nonnegative")
     out = np.zeros(arr.shape)
     pos = arr > 0.0
-    if _radial_monotone_ok(model):
-        out[pos] = _nu_vec(model, arr[pos])
-    else:
-        # the counted field is cached and regrown per threshold, so a count
-        # depends on the thresholds before it: count them one by one, in order
-        out[pos] = [_nu_vec(model, np.array([v]))[0] for v in arr[pos]]
+    out[pos] = _nu_vec(model, arr[pos])
     return float(out) if arr.ndim == 0 else out
 
 
-def build_table(model: ModelSpec, x_max: float, x_min: float = 1e-3,
-                nodes_per_decade: int = 16) -> RearrangementTable:
+def build_table(model: ModelSpec, x_max: float, x_min: float = 1e-3) -> RearrangementTable:
     """Distribution-function table on logarithmic nodes over [x_min, x_max]."""
     for name, val in (("x_min", x_min), ("x_max", x_max)):
         if not math.isfinite(val):
@@ -169,14 +154,11 @@ def build_table(model: ModelSpec, x_max: float, x_min: float = 1e-3,
     if not x_max > x_min > 0:
         raise RangeError("need x_max > x_min > 0")
     decades = math.log10(x_max / x_min)
-    nodes = np.geomspace(x_min, x_max, int(decades * nodes_per_decade) + 2)
+    nodes = np.geomspace(x_min, x_max, int(decades * 16) + 2)     # 16 a decade
     if _radial_monotone_ok(model):
         return RearrangementTable(nodes, _nu_vec(model, nodes), "radial_bisection")
-    vals, vol, _, boundary = _grid_field(model, x_max)
-    nu = np.searchsorted(vals, nodes, side="right").astype(float) * vol
-    if boundary:
-        nu[:] = np.where(nu > 0, math.inf, nu)
-    return RearrangementTable(nodes, nu, "grid_count", cell_size=vol)
+    return RearrangementTable(nodes, _counted_nu(model, nodes), "grid_count",
+                              cell_size=(2.0 * _BOX0 / _CELLS[model.dim]) ** model.dim)
 
 
 def nu_inverse(model: ModelSpec, s: float) -> float:
@@ -190,19 +172,32 @@ def nu_inverse(model: ModelSpec, s: float) -> float:
         r = (s / ball_volume(n)) ** (1.0 / n)
         fn = re_psi_profile(model, max(r, 1.0))
         return float(fn(np.array([r]))[0])
-    # counted route: the k-th smallest cell value with k = ceil(s / cell)
-    x_probe = 1.0
-    for _ in range(40):
-        vals, vol, _, boundary = _grid_field(model, x_probe)
-        count = np.searchsorted(vals, x_probe, side="right")
-        if count * vol >= s:
-            k = int(math.ceil(s / vol))
-            if k <= vals.size:
-                return float(vals[k - 1])
-        if boundary:
-            raise RangeError(f"requested measure s={s} beyond the grid range")
-        x_probe *= 4.0
-    raise RangeError(f"requested measure s={s} not reached by the exponent table")
+    # counted route: on [lo, edge_k), lo the largest earlier edge, nu counts
+    # shells 0 .. k; from the largest edge of all on it is inf
+    lo = 0.0
+    for k in range(_SHELLS):
+        shells = _shells_through(model, k)
+        hi = shells[k].edge
+        if hi > lo:
+            x = max(lo, _first_reaching(shells, s))
+            if x < hi:
+                return x
+        lo = max(lo, hi)
+    return lo
+
+
+def _first_reaching(shells: list, s: float) -> float:
+    """Least value v of the shells with _count(shells, v) >= s, inf if none;
+    the count is nondecreasing along each sorted shell: bisect them all."""
+    lo = np.zeros(len(shells), dtype=int)
+    hi = np.array([sh.vals.size for sh in shells])
+    while np.any(lo < hi):
+        live, mid = lo < hi, (lo + hi) // 2
+        v = np.array([sh.vals[min(m, sh.vals.size - 1)] for sh, m in zip(shells, mid)])
+        reached = _count(shells, v) >= s
+        hi, lo = np.where(live & reached, mid, hi), np.where(live & ~reached, mid + 1, lo)
+    return float(min((sh.vals[j] for sh, j in zip(shells, lo) if j < sh.vals.size),
+                     default=math.inf))
 
 
 def u_star(model: ModelSpec, t: float, s: float) -> float:
@@ -214,16 +209,11 @@ def u_star(model: ModelSpec, t: float, s: float) -> float:
 
 def _nu_vec(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """nu on an array of positive thresholds; inf where the sublevel set is
-    unbounded.  The counted route counts all of them on the field grown
-    for the largest."""
-    n = model.dim
+    unbounded."""
     if _radial_monotone_ok(model):
+        n = model.dim
         return ball_volume(n) * np.exp(n * _level_log_radius(model, x))
-    vals, vol, _, boundary = _grid_field(model, float(np.max(x)))
-    out = np.searchsorted(vals, x, side="right").astype(float) * vol
-    if boundary:
-        out[:] = math.inf
-    return out
+    return _counted_nu(model, x)
 
 
 _gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)

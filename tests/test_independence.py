@@ -1,9 +1,10 @@
 """README's two independence rules, checked by tracing calls.
 
-* The Laplace route (``pt0_laplace``, ``nu_dist``) shares no xi-quadrature
-  code with the Fourier route: it calls nothing in ``inversion``, and it
-  reaches ``quadrature`` only through the radial exponent engine, whose
-  code any route may share.
+* The Laplace route (``pt0_laplace``, ``nu_dist``, ``nu_inverse``) shares no
+  xi-quadrature code with the Fourier route: it calls nothing in
+  ``inversion``, and it reaches ``quadrature`` only through the radial
+  exponent engine, whose code any route may share.  That holds on the
+  counted route (the shells) too.
 * The cosine-average exponent route (``eval_re_psi``) calls no Bessel code
   in ``specfun``; the Bessel-kernel route (``iso_g``) does.
 
@@ -19,7 +20,7 @@ import pytest
 
 from levydens import inversion, quadrature, radialquad, specfun
 from levydens.levy_core import builtin_model, eval_re_psi, iso_g, re_psi_profile
-from levydens.rearrangement import nu_dist, pt0_laplace
+from levydens.rearrangement import nu_dist, nu_inverse, pt0_laplace
 
 
 def _calls_into(modules, fn, *args):
@@ -61,6 +62,19 @@ def _laplace_route(model):
 def test_laplace_route_closed_form_reaches_no_fourier_code(name, kw):
     model = builtin_model(name, **kw)
     assert _calls_into((inversion, quadrature), _laplace_route, model) == []
+
+
+def test_counted_route_reaches_no_fourier_code():
+    # exa4_atoms has no monotone radial profile, so nu is counted on the
+    # shells; its counts stay finite below x = 3.5
+    model = builtin_model("exa4_atoms")
+
+    def counted_route(m):
+        nu_dist(m, np.array([0.05, 0.5, 3.0]))
+        nu_inverse(m, 10.0)
+
+    assert _calls_into((inversion, quadrature), counted_route, model) == []
+    assert len(model._cache["shells"]) == 3
 
 
 def test_laplace_route_reaches_quadrature_only_through_the_engine():

@@ -34,8 +34,8 @@ from levydens.inversion import (
     multiplier_apply,
     pt_zero,
 )
-from levydens.levy_core import builtin_model, re_psi_profile
-from levydens.measures import sphere_surface
+from levydens.levy_core import ModelSpec, builtin_model, eval_re_psi, re_psi_profile
+from levydens.measures import MeasureSpec, sphere_surface
 
 
 def test_gaussian_grid_matches_heat_kernel():
@@ -523,3 +523,28 @@ def test_gamma_grid_exponent_passes():
     invert_grid(model, 1.95, 0.25 + np.arange(381) * 0.0125)
     assert seen["calls"] <= 32
     assert seen["points"] == 1_181_616
+
+
+def test_drifted_gaussian_keeps_its_gaussian_part():
+    # psi = i l xi + xi^2 with l = 1: X_t is normal with mean -t, variance 2t
+    m = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
+    assert re_psi_profile(m, 1e9)(np.array([3.0]))[0] == eval_re_psi(m, [3.0]) == 9.0
+    assert pt_zero(m, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-12)
+    # the drift sends the inversion down the non-symmetric path
+    x = np.arange(-20, 21) * 0.25
+    f = invert_grid(m, 1.0, x)
+    err = float(np.max(np.abs(f.values - np.exp(-(x + 1.0) ** 2 / 4.0) / math.sqrt(4.0 * math.pi))))
+    assert err <= f.tail_bound and err <= 1e-12
+
+
+def test_non_radial_gaussian_part_is_refused():
+    none = MeasureSpec(variant="none")
+    grid = (np.linspace(-1.0, 1.0, 5), np.linspace(-1.0, 1.0, 5))
+    elliptic = ModelSpec(2, (0.0, 0.0), ((2.0, 0.0), (0.0, 8.0)), none)
+    with pytest.raises(UnsupportedModelError, match="gaussian"):
+        pt_zero(elliptic, 1.0)
+    with pytest.raises(UnsupportedModelError, match="gaussian"):
+        invert_grid(elliptic, 1.0, grid)
+    drifted = ModelSpec(2, (1.0, 0.0), ((2.0, 0.0), (0.0, 2.0)), none)
+    with pytest.raises(UnsupportedModelError, match="drift"):
+        invert_grid(drifted, 1.0, grid)

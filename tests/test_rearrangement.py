@@ -1,12 +1,13 @@
 """Sublevel measures, rearrangements, and the Laplace route to p_t(0)."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from levydens import levy_core
-from levydens.asymptotics import predict_pt0
+from levydens import levy_core, rearrangement
+from levydens.asymptotics import doubling_report, phi_integrability, predict_pt0
 from levydens.errors import IntegrabilityRefusal, RangeError
 from levydens.inversion import pt_zero
 from levydens.levy_core import ModelSpec, builtin_model
@@ -162,3 +163,99 @@ def test_grid_count_route_is_sane():
     a = nu_dist(m, 0.05)
     b = nu_dist(m, 0.5)
     assert 0.0 <= a <= b
+
+
+# -- the counted route on fixed nested shells ------------------------------
+
+# nu(0.05), nu(0.5), nu(3.0) counted on one 2^20-cell box covering each
+# sublevel set (L = 8 for exa3, L = 32 for exa4)
+_FINE_COUNTS = {"exa3_atoms": (0.04919, 0.44849, 3.54456),
+                "exa4_atoms": (1.18301, 3.86169, 53.39087)}
+_CELL0 = 16.0 / (1 << 16)          # shell-0 cell width in dim 1
+
+
+@pytest.mark.parametrize("name", sorted(_FINE_COUNTS))
+def test_counted_nu_is_history_free(name):
+    xs = np.array([0.05, 0.5, 3.0])
+    fresh = nu_dist(builtin_model(name), xs)
+    m = builtin_model(name)
+    table = build_table(m, 50.0)
+    finite = table.nu_values[np.isfinite(table.nu_values)]
+    assert finite.size > 30 and np.all(finite > 0.0)
+    assert np.all(table.nu_values[:-1] <= table.nu_values[1:])
+    after = nu_dist(m, xs)
+    np.testing.assert_array_equal(after, fresh)
+    assert np.all(np.diff(after) > 0.0)
+    # the sets reach shell 2 (4-wide cells) only at x = 3.0 on exa4, where
+    # each of its boundary points may be off by half a cell of shell 2
+    tol = np.array([1.0, 1.0, 8.0 if name == "exa4_atoms" else 1.0]) * _CELL0
+    assert np.all(np.abs(after - _FINE_COUNTS[name]) <= tol + 1e-5)
+
+
+def _counted(model):
+    # the same exponent without the isotropic flag takes the counted route
+    return dataclasses.replace(model, isotropic=False)
+
+
+def test_counted_route_on_gaussians_past_shell_0():
+    # psi = |xi|^2 (dim 1 and 2); box 0 covers thresholds up to about 62.7
+    m1 = _counted(builtin_model("gaussian"))
+    x = np.array([0.5, 100.0, 1000.0, 1e4])
+    table = build_table(m1, 1e4, x_min=0.5)
+    assert table.method == "grid_count" and table.cell_size == _CELL0
+    # an interval is counted to within one cell of the shell its end lies in
+    shell = np.maximum(np.ceil(np.log2(np.sqrt(x) / 8.0)), 0.0)
+    got = nu_dist(m1, x)
+    assert np.all(np.abs(got - 2.0 * np.sqrt(x)) <= _CELL0 * 2.0 ** shell)
+    assert len(m1._cache["shells"]) == 5
+
+    m2 = _counted(builtin_model("gaussian", dim=2))
+    x = np.array([4.0, 100.0])
+    h = 16.0 / (1 << 10) * np.array([1.0, 2.0])
+    got = nu_dist(m2, x)
+    # the misplaced cells lie within h / sqrt(2) of the circle of radius r
+    r = np.sqrt(x)
+    assert np.all(np.abs(got - math.pi * x) <= 2.0 * math.sqrt(2.0) * math.pi * r * h)
+    assert len(m2._cache["shells"]) == 2
+
+
+def test_counted_nu_inverse_sandwich():
+    m = builtin_model("exa4_atoms")
+    table = build_table(m, 20.0)
+    rows = 0
+    for x, nu in zip(table.x_nodes, table.nu_values):
+        if not 0.0 < nu < math.inf:
+            continue
+        rows += 1
+        x_inv = nu_inverse(m, float(nu))
+        assert x_inv <= x
+        assert nu_dist(m, x_inv) >= nu
+        # nothing below x_inv reaches nu
+        assert nu_dist(m, np.nextafter(x_inv, 0.0)) < nu
+    assert rows >= 50
+    # past every shell edge nu is inf, and its inverse is the largest edge
+    edge = max(sh.edge for sh in m._cache["shells"])
+    assert nu_inverse(m, 1e12) == edge and nu_dist(m, edge) == math.inf
+
+
+def test_counted_route_builds_each_shell_once(monkeypatch):
+    built = []
+    real = rearrangement._build_shell
+    monkeypatch.setattr(rearrangement, "_build_shell",
+                        lambda model, k: built.append(k) or real(model, k))
+    m = builtin_model("exa4_atoms")
+    doubling_report(m, (0.1, 5.0))
+    phi_integrability(m, 1.0)
+    assert built == list(range(len(built))) and len(built) == 21
+
+
+def test_counted_route_keeps_the_gaussian_part():
+    # psi = i xi + xi^2: the drift makes the model non-isotropic
+    m = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
+    assert nu_dist(m, 1.0) == pytest.approx(2.0, abs=_CELL0)
+    assert pt0_laplace(m, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-4)
+    # Re psi = xi_1^2 + 4 xi_2^2 <= 1 is an ellipse of area pi / 2; with no
+    # radial profile the shells take eval_re_psi cell by cell
+    m2 = ModelSpec(2, (0.0, 0.0), ((2.0, 0.0), (0.0, 8.0)), MeasureSpec(variant="none"))
+    h = 16.0 / (1 << 10)
+    assert nu_dist(m2, 1.0) == pytest.approx(math.pi / 2.0, abs=2.0 * math.sqrt(2.0) * math.pi * h)
