@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special as _sp
 
-from .errors import IntegrabilityRefusal, QuadratureError, RangeError
+from .errors import QuadratureError, RangeError
 from .levy_core import ModelSpec
 from .inversion import pt_zero
 from . import rearrangement
@@ -201,14 +201,13 @@ def phi_integrability(phi_model: ModelSpec, kappa: float):
     if kappa <= 0.0:
         raise RangeError("kappa must be positive")
     x_max = 50.0
-    try:
-        c_doub, lam = doubling_report(phi_model, (1.0, x_max))
-    except IntegrabilityRefusal:
-        return False, {"failing_x": x_max,
-                       "reason": "sublevel measure infinite on the window"}
+    c_doub, lam = doubling_report(phi_model, (1.0, x_max))
     if not math.isfinite(c_doub):
         xs = np.geomspace(1.0, x_max, 25)
         vals = rearrangement.nu_dist(phi_model, xs)
+        if np.isinf(vals[-1]):       # nu is nondecreasing
+            return False, {"failing_x": float(xs[np.argmax(np.isinf(vals))]),
+                           "reason": "sublevel measure infinite on the window"}
         # report the first abscissa where the doubling ratio exceeds any
         # polynomial envelope fitted from the lower half of the window
         half = len(xs) // 2

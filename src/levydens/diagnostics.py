@@ -127,8 +127,7 @@ def _directions(n: int) -> np.ndarray:
 def _re_psi_on_ray(model: ModelSpec, u: np.ndarray) -> np.ndarray:
     """min over the probe directions of Re psi at radius u (liminf proxy)."""
     if model.measure.is_radial and _scalar_q(model) is not None:
-        fn = re_psi_profile(model, float(np.max(u)) * 2.0)
-        return fn(u)
+        return re_psi_profile(model)(u)
     dirs = _directions(model.dim)
     vals = np.array([[eval_re_psi(model, e * x) for x in u] for e in dirs])
     return np.min(vals, axis=0)

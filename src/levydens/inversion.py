@@ -71,7 +71,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, _scalar_q, eval_psi, re_psi_profile
+from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
     _accelerated,
@@ -645,7 +645,7 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     x0 = float(x[0])
     nx = x.size
     sym = not (model.measure.onesided or model.measure.point_atoms() or any(model.drift))
-    profile = re_psi_profile(model, 1e9)
+    profile = re_psi_profile(model)
 
     if weight is None:
         env = lambda u: np.exp(-t * profile(np.abs(u)))
@@ -663,12 +663,12 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
         Ffun_c = Ffun
     else:
         def Ffun_c(xi):
-            xi = np.asarray(xi, dtype=float)
+            flat = np.asarray(xi, dtype=float).reshape(-1)
             if model.psi_exact_vec is not None:
-                psis = model.psi_exact_vec(xi.reshape(-1))
+                psis = model.psi_exact_vec(flat)
             else:
-                psis = np.array([eval_psi(model, [u]) for u in xi.reshape(-1)])
-            vals = np.exp(-t * psis).reshape(xi.shape)
+                psis = profile(np.abs(flat)) + 1j * _im_psi(model, flat[:, None])
+            vals = np.exp(-t * psis).reshape(np.shape(xi))
             if weight is not None:
                 vals = vals * weight(np.abs(xi))
             return vals
@@ -806,7 +806,7 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
         raise UnsupportedModelError(
             "two-dimensional inversion needs a symmetric radial model: a radial "
             "measure, no drift and a gaussian matrix q I")
-    profile = re_psi_profile(model, 1e9)
+    profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     Fr = env
     reach = max(np.max(np.abs(xs)) + hx, np.max(np.abs(ys)) + hy)
@@ -876,7 +876,7 @@ def pt_zero(model: ModelSpec, t: float) -> float:
     n = model.dim
     if n > 1 and not model.measure.is_radial:
         raise UnsupportedModelError("pt_zero needs a radial exponent for dim > 1")
-    profile = re_psi_profile(model, 1e12)
+    profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     tail_all = _tail_integral(env, n, 1e-8)
     if math.isinf(tail_all):
@@ -900,7 +900,7 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
     nu = 0.5 * n - 1.0
-    profile = re_psi_profile(model, 1e12)
+    profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     pref = sphere_surface(n) / (2.0 * math.pi) ** n
 
@@ -982,7 +982,7 @@ def multiplier_apply(model: ModelSpec, phi_model: ModelSpec, m: int, t: float,
         return invert_grid(model, t, grid)
     if model.dim != 1:
         raise UnsupportedModelError("multiplier fields are one-dimensional here")
-    phi_profile = re_psi_profile(phi_model, 1e9)
+    phi_profile = re_psi_profile(phi_model)
     weight = lambda u: phi_profile(np.abs(u)) ** m
     return _invert_1d(model, t, np.asarray(grid, dtype=float), weight=weight)
 

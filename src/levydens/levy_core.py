@@ -156,13 +156,8 @@ def _as_xi(model: ModelSpec, xi) -> np.ndarray:
 def _jump_re_at_radius(model: ModelSpec, u: float, route: str = "avg") -> float:
     """Real jump exponent of the radial part (profile + radius atoms) at |xi|=u."""
     n = model.dim
-    total = 0.0
     eng = model._engine(route)
-    if eng is not None:
-        val, _ = eng.g(u)
-        total += val
-        if model.measure.onesided:
-            total *= 0.5
+    total = 0.0 if eng is None else eng.g(u)[0] * (0.5 if model.measure.onesided else 1.0)
     radius_atoms = model.measure.radial_atoms()
     if radius_atoms:
         one_minus = one_minus_kernel if route == "avg" else _one_minus_h
@@ -191,16 +186,19 @@ def eval_psi(model: ModelSpec, xi) -> complex:
     v = _as_xi(model, xi)
     if model.psi_exact is not None and model.dim == 1:
         return complex(model.psi_exact(float(v[0])))
-    re = eval_re_psi(model, v)
-    im = float(np.dot(model.drift, v))
+    return complex(eval_re_psi(model, v), float(_im_psi(model, v[None, :])[0]))
+
+
+def _im_psi(model: ModelSpec, xi: np.ndarray) -> np.ndarray:
+    """Im psi at each row of xi (shape (k, dim)): drift, point atoms, one-sided part."""
+    out = xi @ np.asarray(model.drift, dtype=float)
     for y, m in model.measure.point_atoms():
-        s = float(y @ v)
-        im += m * (-math.sin(s) + s / (1.0 + float(y @ y)))
+        s = xi @ y
+        out += m * (-np.sin(s) + s / (1.0 + float(y @ y)))
     if model.measure.onesided:
         # one-sided gamma-type jump part: exact sine-transform identity
-        u = float(v[0])
-        im += -math.atan(u) + GAMMA_COMPENSATOR * u
-    return complex(re, im)
+        out += -np.arctan(xi[:, 0]) + GAMMA_COMPENSATOR * xi[:, 0]
+    return out
 
 
 def radial_G(model: ModelSpec, r: float) -> float:
@@ -285,62 +283,82 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             # adding 0 * u^2 changes no finite value; skip the pass over u
             return lambda u: np.asarray(g(np.asarray(u, float)), float)
         return lambda u: 0.5 * q * np.asarray(u, float) ** 2 + np.asarray(g(np.asarray(u, float)), float)
+    n, points = model.dim, model.measure.point_atoms()
+    if points and n > 1:
+        raise UnsupportedModelError("Re psi is not a function of |xi|: field "
+                                    "'measure.atoms' holds point atoms")
+    # in dim 1 a point atom (y, m) adds m (1 - cos(y u)), as the radius atom (|y|, m)
+    atoms = [*model.measure.radial_atoms(), *((abs(float(y[0])), m) for y, m in points)]
+    radii, masses = np.array(atoms, dtype=float).reshape(-1, 2).T
+    eng = model._engine("avg")
 
-    def direct(u):
+    def fn(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        return np.array([_jump_re_at_radius(model, x) for x in u]) + 0.5 * q * u * u
-
-    prof = model.measure.radial_profile(model.dim)
-    if prof is None:
-        # atoms only: direct vectorized sum
-        n = model.dim
-        radius_atoms = model.measure.radial_atoms()
-        radii = np.array([a for a, _ in radius_atoms])
-        masses = np.array([b for _, b in radius_atoms])
-
-        def atoms_fn(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            vals = np.empty_like(u)
-            chunk = 1 << 12
-            for lo in range(0, u.size, chunk):
-                seg = u[lo:lo + chunk]
-                vals[lo:lo + chunk] = one_minus_kernel(
-                    n, seg[:, None] * radii[None, :]) @ masses
-            return vals + 0.5 * q * u * u
-        return atoms_fn
-    return direct
+        vals = np.zeros_like(u)
+        for lo in range(0, u.size if atoms else 0, 1 << 12):
+            seg = u[lo:lo + (1 << 12), None]
+            vals[lo:lo + seg.size] = one_minus_kernel(n, seg * radii) @ masses
+        if eng is not None:
+            vals += np.array([eng.g(x)[0] for x in u]) * (0.5 if model.measure.onesided else 1.0)
+        return vals + 0.5 * q * u * u
+    return fn
 
 
-def re_psi_profile(model: ModelSpec, u_max: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Fast vectorized radial exponent over [0, u_max].
+_J_FLOOR, _J_CAP, _U_FLOOR, _U_CAP = -576, 672, 1e-12, 1e14    # table nodes 10^(j/48)
 
-    Closed forms and atom sums evaluate directly; engine-backed profiles are
-    tabulated once on a log grid and monotone-cubic interpolated.
-    """
+
+class _ExponentTable:
+    """The one exponent table of an engine-backed model; see ``re_psi_profile``."""
+
+    def __init__(self, base):
+        self.base, self.log_v, self.interp = base, np.empty(0), None
+        self.reach, self.direct = 0.0, False
+
+    def grow(self, u_top: float) -> None:
+        """Build the nodes through the first at or above u_top, plus two."""
+        if not u_top > self.reach or self.direct:
+            return
+        j = max(math.ceil(48 * math.log10(u_top)), _J_FLOOR)
+        last = min(j + 2 + (10.0 ** (j / 48) < u_top), _J_CAP)
+        u = np.array([10.0 ** (k / 48) for k in range(_J_FLOOR, last + 1)])
+        v = self.base(u[self.log_v.size:])
+        self.direct = not np.all(v > 0)
+        if not self.direct:
+            self.log_v = np.concatenate((self.log_v, np.log(v)))
+            self.interp = PchipInterpolator(np.log(u), self.log_v, extrapolate=False)
+            self.reach = u[-1] if last == _J_CAP else u[-3]
+
+    def __call__(self, u):
+        u = np.atleast_1d(np.asarray(u, dtype=float))
+        inside = (u >= _U_FLOOR) & (u <= _U_CAP)
+        self.grow(float(np.max(u, where=inside, initial=_U_FLOOR)))
+        if self.direct:
+            return self.base(u)
+        out = np.zeros_like(u)
+        out[inside] = np.exp(self.interp(np.log(u[inside])))
+        rest = ~inside & (u > 0)
+        if np.any(rest):
+            out[rest] = self.base(u[rest])
+        return out
+
+
+def re_psi_profile(model: ModelSpec, u_max: float = 0.0) -> Callable[[np.ndarray], np.ndarray]:
+    """Fast vectorized radial exponent u -> Re psi(|xi| = u).
+
+    Closed forms and atom sums evaluate directly.  An engine-backed exponent
+    reads the model's one log-log PCHIP table on the nodes 10^(j/48) from a
+    floor of 1e-12 to a cap of 1e14, grown upward on demand, each node once.
+    It answers only intervals with two built nodes beyond them (or ending at
+    the cap), which fix PCHIP's cubic there, so no value depends on which call
+    grew it.  Outside [1e-12, 1e14], or everywhere once a node's value is not
+    positive, the engine is evaluated directly.  The table reaches at least
+    min(u_max, 1e14) on return."""
     base = _re_psi_radial_fn(model)
     if model.g_exact is not None or model.measure.radial_profile(model.dim) is None:
         return base
-    key = ("profile", math.ceil(math.log10(max(u_max, 1e-7))))
-    cache = model._cache
-    if key not in cache:
-        hi = 10.0 ** key[1]
-        grid = np.geomspace(1e-8, hi, int(math.log10(hi / 1e-8) * 48) + 1)   # 48 a decade
-        vals = base(grid)
-        if np.all(vals > 0):
-            interp = PchipInterpolator(np.log(grid), np.log(vals), extrapolate=False)
-            def fast(u, _i=interp, _g=grid, _b=base):
-                u = np.atleast_1d(np.asarray(u, dtype=float))
-                out = np.zeros_like(u)
-                inside = (u >= _g[0]) & (u <= _g[-1])
-                out[inside] = np.exp(_i(np.log(u[inside])))
-                rest = ~inside & (u > 0)
-                if np.any(rest):
-                    out[rest] = _b(u[rest])
-                return out
-        else:
-            fast = base
-        cache[key] = fast
-    return cache[key]
+    table = model._cache.setdefault("profile", _ExponentTable(base))
+    table.grow(min(float(u_max), _U_CAP))
+    return table
 
 
 def _radial_monotone_ok(model: ModelSpec) -> bool:
@@ -350,9 +368,7 @@ def _radial_monotone_ok(model: ModelSpec) -> bool:
     key = "radial_monotone"
     cached = model._cache.get(key)
     if cached is None:
-        fn = re_psi_profile(model, 1e9)
-        u = np.geomspace(1e-8, 1e8, 257)
-        v = fn(u)
+        v = re_psi_profile(model)(np.geomspace(1e-8, 1e8, 257))
         tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
         cached = bool(np.all(np.diff(v) >= -tol))
         model._cache[key] = cached
@@ -369,7 +385,7 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
 
     Roots range over hundreds of e-folds near the integrability threshold,
     so all thresholds bisect together in v = ln u on the exponent table."""
-    fn = re_psi_profile(model, 1e9)
+    fn = re_psi_profile(model)
     step = math.log(8.0)
     # u^2 and the like overflow to inf far out, which is still an upper bracket
     with np.errstate(over="ignore"):

@@ -59,7 +59,7 @@ class RatioReport:
 def _masses(model: ModelSpec, t: float, delta: float) -> Tuple[float, float]:
     """(int_0^delta, int_delta^inf) of e^{-t Re psi(u)} u^{n-1} du."""
     pt_zero(model, t)                   # integrability probe; raises refusal
-    profile = re_psi_profile(model, 1e12)
+    profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     return (_head_integral(env, model.dim, delta, panels=_MASS_PANELS),
             _tail_integral(env, model.dim, delta, panels=_MASS_PANELS))
@@ -84,7 +84,7 @@ def inf_re_psi_outside(model: ModelSpec, delta: float) -> Tuple[float, bool]:
     """
     if not 0.0 < delta < math.inf:
         raise RangeError(f"delta={delta} must be positive and finite")
-    fn = re_psi_profile(model, max(1e7, delta * 16.0))
+    fn = re_psi_profile(model)
     at_delta = float(fn(np.array([delta]))[0])
     u = np.geomspace(delta, max(1e6, delta * 8.0), 1 << 14)
     vals = fn(u)

@@ -92,8 +92,7 @@ def _build_shell(model: ModelSpec, k: int) -> _Shell:
     keep = ring >= N // 4 if k else np.ones(ring.shape, dtype=bool)
     xi = [(a[keep] + 0.5) * h for a in axes]
     if model.measure.is_radial and _scalar_q(model) is not None:
-        fn = re_psi_profile(model, 1e9)
-        vals = fn(xi[0] if n == 1 else np.hypot(*xi))
+        vals = re_psi_profile(model)(xi[0] if n == 1 else np.hypot(*xi))
     else:
         vals = np.array([eval_re_psi(model, p) for p in np.stack(xi, axis=-1)])
     edge = float(np.min(vals[ring[keep] >= N // 2 - N // 100]))
@@ -170,8 +169,7 @@ def nu_inverse(model: ModelSpec, s: float) -> float:
     n = model.dim
     if _radial_monotone_ok(model):
         r = (s / ball_volume(n)) ** (1.0 / n)
-        fn = re_psi_profile(model, max(r, 1.0))
-        return float(fn(np.array([r]))[0])
+        return float(re_psi_profile(model)(np.array([r]))[0])
     # counted route: on [lo, edge_k), lo the largest earlier edge, nu counts
     # shells 0 .. k; from the largest edge of all on it is inf
     lo = 0.0

@@ -98,3 +98,12 @@ def test_phi_integrability_exponential_sublevel_fails():
     ok, info = phi_integrability(builtin_model("sym_gamma"), kappa=10.0)
     assert not ok
     assert "failing_x" in info
+
+
+def test_phi_integrability_reports_where_nu_turns_infinite():
+    # exa4_atoms' nu is inf from x ~ 3.5 on: the first such abscissa of the
+    # 25-point window fails, not its right end
+    ok, info = phi_integrability(builtin_model("exa4_atoms"), kappa=1.0)
+    assert not ok
+    assert info == {"failing_x": float(np.geomspace(1.0, 50.0, 25)[8]),
+                    "reason": "sublevel measure infinite on the window"}

@@ -12,6 +12,7 @@ Calls are traced, not imports: ``levy_core`` imports ``specfun`` for
 ``iso_g``.
 """
 
+import ast
 import pathlib
 import sys
 
@@ -105,3 +106,15 @@ def test_gauss_legendre_tables_live_in_two_modules():
     src = pathlib.Path(quadrature.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "leggauss(" in p.read_text())
     assert users == ["quadrature.py", "rearrangement.py"]
+
+
+def test_only_levy_core_picks_the_exponent_table_range():
+    # re_psi_profile's one table grows on demand: no other module passes a
+    # second argument, so the table's range stays decided in levy_core
+    src = pathlib.Path(quadrature.__file__).parent
+    ranged = sorted(
+        f"{p.name}:{node.lineno}" for p in src.glob("*.py") if p.name != "levy_core.py"
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "re_psi_profile")
+    assert ranged == []

@@ -35,7 +35,7 @@ from levydens.inversion import (
     pt_zero,
 )
 from levydens.levy_core import ModelSpec, builtin_model, eval_re_psi, re_psi_profile
-from levydens.measures import MeasureSpec, sphere_surface
+from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
 
 
 def test_gaussian_grid_matches_heat_kernel():
@@ -393,8 +393,8 @@ def test_lattice_exponent_points(monkeypatch):
     seen = {"points": 0}
     real = inversion.re_psi_profile
 
-    def counted(model, u_max):
-        profile = real(model, u_max)
+    def counted(model, *args):
+        profile = real(model, *args)
 
         def f(u):
             seen["points"] += int(np.size(u))
@@ -535,6 +535,32 @@ def test_drifted_gaussian_keeps_its_gaussian_part():
     f = invert_grid(m, 1.0, x)
     err = float(np.max(np.abs(f.values - np.exp(-(x + 1.0) ** 2 / 4.0) / math.sqrt(4.0 * math.pi))))
     assert err <= f.tail_bound and err <= 1e-12
+
+
+def test_non_symmetric_exponent_is_vectorised(monkeypatch):
+    # F is the radial profile plus i times the imaginary part, evaluated
+    # for whole blocks of frequency samples, not one sample at a time
+    seen = {"calls": 0}
+    real = inversion._im_psi
+
+    def counted(model, xi):
+        seen["calls"] += 1
+        return real(model, xi)
+    monkeypatch.setattr(inversion, "_im_psi", counted)
+    m = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
+    x = np.linspace(-8.0, 8.0, 161)
+    f = invert_grid(m, 1.0, x)
+    ref = np.exp(-(x + 1.0) ** 2 / 4.0) / math.sqrt(4.0 * math.pi)     # N(-1, 2)
+    assert float(np.max(np.abs(f.values - ref))) <= f.tail_bound
+    assert seen["calls"] <= 64
+
+
+def test_point_atom_density_at_zero():
+    # mass 1 at y = 1 plus Q = [[2]]: X_1 = N + G - 1/2 with N ~ Poisson(1)
+    # and G ~ N(0, 2), so p_1(0) = sum_k e^{-1}/k! e^{-(k-1/2)^2/4} / sqrt(4 pi)
+    atom = MeasureSpec(variant="atoms", atoms=(AtomSpec(mass=1.0, point=(1.0,)),))
+    f = invert_grid(ModelSpec(1, (0.0,), ((2.0,),), atom), 1.0, np.linspace(-8.0, 8.0, 161))
+    assert abs(f.values[80] - 0.22837709946068477) <= f.tail_bound
 
 
 def test_non_radial_gaussian_part_is_refused():

@@ -1,5 +1,6 @@
 """Characteristic exponents: closed forms, quadrature routes, validation."""
 
+import collections
 import math
 
 import numpy as np
@@ -26,7 +27,11 @@ from levydens.levy_core import (
     radial_tail,
     re_psi_profile,
 )
-from levydens.measures import MeasureSpec, sphere_surface
+from levydens.diagnostics import classify
+from levydens.inversion import invert_grid, pt_zero
+from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
+from levydens.radialquad import RadialQuadEngine
+from levydens.rearrangement import nu_dist
 
 
 def _strip_exact(model: ModelSpec) -> ModelSpec:
@@ -101,6 +106,70 @@ def test_re_psi_profile_matches_pointwise():
     u = np.geomspace(1e-3, 1e3, 25)
     ref = np.array([eval_re_psi(m, x) for x in u])
     np.testing.assert_allclose(fn(u), ref, rtol=1e-6)
+
+
+def test_point_atoms_enter_the_radial_exponent():
+    # in dim 1 a point atom (y, m) adds m (1 - cos(y u)), as the radius atom
+    # (|y|, m) does; Q = [[2]] with mass 1/2 at y = +-1 gives
+    # p_1(0) = sum_k e^{-1} I_|k|(1) e^{-k^2/4} / sqrt(4 pi)
+    atoms = (AtomSpec(mass=0.5, point=(1.0,)), AtomSpec(mass=0.5, point=(-1.0,)))
+    m = ModelSpec(1, (0.0,), ((2.0,),), MeasureSpec(variant="atoms", atoms=atoms))
+    assert re_psi_profile(m)(np.array([math.pi]))[0] == eval_re_psi(m, [math.pi])
+    assert pt_zero(m, 1.0) == pytest.approx(0.23360283637357146, rel=1e-12)
+    # in dim 2 a point atom makes Re psi depend on more than |xi|
+    planar = ModelSpec(2, (0.0, 0.0), ((2.0, 0.0), (0.0, 2.0)), MeasureSpec(
+        variant="atoms", atoms=(AtomSpec(mass=1.0, point=(1.0, 0.0)),)))
+    with pytest.raises(UnsupportedModelError, match="measure.atoms"):
+        re_psi_profile(planar)
+
+
+_U_TABLE = np.geomspace(1e-12, 1e14, 2001)
+
+
+@pytest.mark.parametrize("name", ["tempered_stable", "exa2_logkernel"])
+def test_exponent_table_is_history_free(name):
+    # one table a model, grown on demand: no earlier call moves a value
+    ref = re_psi_profile(builtin_model(name))(_U_TABLE)
+    for run in (lambda m: pt_zero(m, 1.0),
+                lambda m: invert_grid(m, 1.0, np.linspace(-4.0, 4.0, 41)),
+                classify):
+        m = builtin_model(name)
+        run(m)
+        assert np.array_equal(re_psi_profile(m)(_U_TABLE), ref)
+
+
+def _count_engine_calls(monkeypatch):
+    seen = collections.Counter()
+    real = RadialQuadEngine.g
+
+    def counted(self, u):
+        seen[id(self), u] += 1
+        return real(self, u)
+    monkeypatch.setattr(RadialQuadEngine, "g", counted)
+    return seen
+
+
+def test_table_nodes_are_evaluated_once_per_model(monkeypatch):
+    # the four entry points share the model's one table, whose 1,249 nodes
+    # span 1e-12 .. 1e14: no node is evaluated twice
+    seen = _count_engine_calls(monkeypatch)
+    m = builtin_model("tempered_stable")
+    classify(m)
+    assert sum(seen.values()) <= 1249
+    pt_zero(m, 1.0)
+    invert_grid(m, 1.0, np.linspace(-4.0, 4.0, 41))
+    nu_dist(m, np.array([0.5, 3.0, 50.0]))
+    in_table = [c for (_, u), c in seen.items() if 1e-12 <= u <= 1e14]
+    assert len(in_table) <= 1249 and max(in_table) == 1
+
+
+def test_warm_pt_zero_makes_no_engine_call(monkeypatch):
+    # the table starts at 1e-12, below pt_zero's head decades
+    m = builtin_model("tempered_stable")
+    first = pt_zero(m, 1.0)
+    seen = _count_engine_calls(monkeypatch)
+    assert pt_zero(m, 1.0) == first
+    assert not seen
 
 
 def test_g_inverse_roundtrip():
