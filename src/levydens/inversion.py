@@ -12,14 +12,14 @@ only the new odd samples are evaluated.  A symmetric exponent (no one-sided
 part, no point atoms, no drift) gives a real even integrand, and only the
 half axis xi >= 0 is sampled.
 
-The DFT is taken by one of two routes, chosen per inversion by comparing
-their transform costs (``_zoom_pays``), from M, the sample count and the
-node count:
+A 1-d grid takes one of three routes, chosen per inversion by counted cost
+(``_route``) from M, the sample count, the node count and, for a symmetric
+exponent, the point route's panel count.  Two of them take the DFT:
 
 * the fold adds each sample into bin k mod M by slices (a contiguous run of
   k lands on contiguous bins) and transforms all M bins by FFT; the mirrored
-  half axis goes through ``rfft``.  Few nodes at a coarse step need many
-  more samples than bins, and only the fold handles them.
+  half axis goes through ``rfft``.  Grids with many more samples than bins
+  and too many nodes for the point route need it.
 * the zoom, when no sample wraps and the samples and nodes are far fewer
   than M, evaluates the sum only at the output bins and the wrap-edge probe
   bins by Bluestein's chirp-z convolution, of length about samples + nodes
@@ -27,21 +27,34 @@ node count:
   the wrap to 2^21-2^22 bins for a few percent of nonzero samples; the zoom
   allocates nothing of length M.
 
-The xi-window is chosen by a doubling ladder; the leftover tail integral of
-the envelope is estimated on a log grid and reported as part of tail_bound.
-A tail whose decade contributions do not decrease marks a non-integrable
-exponent at this t and raises IntegrabilityRefusal.
+The third, the point route (``_point_pass``), serves a symmetric exponent
+on few nodes: p(x_i) = (1/pi) int_0^inf F(u) cos(x_i u) du at the exact
+nodes, by one Filon run from the origin (Filon 1928; Iserles and Norsett
+2005).  It has no wrap, no Richardson pass and no node placement error.
+It costs about 16 exponent samples a panel and K moment terms per panel and
+node, and it is chosen only when that is below the first pass of a grid
+route, the least any grid run costs.  Its tail_bound is the sum of four
+parts: the projection (the dropped Legendre orders), the remainder past the
+last panel, the head below the first panel, and the rounding.
 
-The frequency tail beyond the window is added back analytically, for all
-nodes of a 1-d grid at once.  A symmetric exponent takes Filon-type panels
-(``_filon_tail``): every node shares the panels, and each panel takes the
-spherical Bessel moments of all orders at all nodes from one recurrence
-pass.  Any other exponent takes 240 half-period panels per node
-(``_osc_tail_term``): the panel points and exponent samples are built in
-node blocks of at most ``_FOLD_CHUNK`` samples, and one decade tail
-integral and one repeated-averaging pass serve every node.  Only x = 0 and
-the few nodes with a slow phase near it go one by one.  The GL panels, the
-accelerator and the tail integral are those of ``quadrature``.
+The xi-window is chosen by a doubling ladder on every route; the leftover
+tail integral of the envelope is estimated on a log grid and reported as
+part of tail_bound.  A tail whose decade contributions do not decrease
+marks a non-integrable exponent at this t and raises IntegrabilityRefusal.
+
+On a grid route the frequency tail beyond the window is added back
+analytically, for all nodes of a 1-d grid at once.  A symmetric exponent
+takes the Filon panels of the point route, run from the window's edge
+(``_filon_tail``): the panel edges come from one ladder of envelope samples
+(``_filon_panels``), one envelope call serves every panel's GL points, and
+the spherical Bessel moments of all orders at all (panel, node) pairs come
+from one recurrence pass per block of at most ``_FOLD_CHUNK`` pairs.  Any
+other exponent takes 240 half-period panels per node (``_osc_tail_term``):
+the panel points and exponent samples are built in node blocks of at most
+``_FOLD_CHUNK`` samples, and one decade tail integral and one
+repeated-averaging pass serve every node.  Only x = 0 and the few nodes
+with a slow phase near it go one by one.  The GL panels, the accelerator
+and the tail integral are those of ``quadrature``.
 
 The 2-d lattice (``_lattice_sum_2d``) sums a radial F on a square frequency
 lattice as a product of two cosine matrices around the samples.  F(|xi|)
@@ -168,7 +181,11 @@ def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
         xi *= 2.0
 
 
-_FOLD_CHUNK = 1 << 16
+_FOLD_CHUNK = 1 << 16     # samples, moments or node blocks built at once
+# samples the fold evaluates and adds per step: glibc keeps the temporaries
+# of 128 KB arrays on its heap, while 512 KB ones are trimmed off and faulted
+# back in at every step (2,816 minor faults on a nine-node stable grid, 448)
+_FOLD_STREAM = 1 << 14
 
 
 def _add_wrapped(bins: np.ndarray, F: np.ndarray, k0: int) -> None:
@@ -202,13 +219,14 @@ def _fold_frequency(Ffun, dxi: float, nside: int, M: int, sym: bool,
     sample at half weight) and folded in float64, and the negative half-axis
     is the mirror image of the bins: j + (M - j) for even samples, and
     j + (M - 1 - j) for odd ones.  Each sample is evaluated once and streamed
-    in chunks, so multi-million-sample windows never materialize."""
+    in steps of ``_FOLD_STREAM``, so multi-million-sample windows never
+    materialize."""
     dtype = float if sym else complex
     folded = np.zeros(M, dtype=dtype)
     lo = 0 if sym else -nside
     hi = nside if odd else nside + 1
-    for a in range(lo, hi, _FOLD_CHUNK):
-        b = min(a + _FOLD_CHUNK, hi)
+    for a in range(lo, hi, _FOLD_STREAM):
+        b = min(a + _FOLD_STREAM, hi)
         if odd:
             k = np.arange(2 * a + 1, 2 * b + 1, 2, dtype=float)
         else:
@@ -342,24 +360,44 @@ _EDGE_RUN = 16     # longest cluster of ``_edge_bins``, read by one zoom run
 _EPS = float(np.finfo(float).eps)
 
 
-def _zoom_pays(M: int, nside: int, nx: int, sym: bool) -> bool:
-    """True when no sample wraps and the zoom costs less than the fold.
+def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
+    """'fold', 'zoom' or 'point': the route of least counted cost.
 
     A length-n FFT counts n log2 n, and so does evaluating n exact-integer
     phases.  The fold transforms M and then 2 M bins; for a symmetric F its
     cheaper ``rfft`` is offset by the passes that zero, mirror and copy the
-    bins.  The zoom computes its chirp kernel (phases and one FFT), then per
-    run of bins the sample phases and two FFTs of length N.  The runs are
-    the output nodes, the wrap-edge bins (two runs with the mirror, three
-    without) and the step-halving odd samples."""
-    if 2 * nside + 1 > M:      # samples wrap
-        return False
+    bins.  The zoom, which no wrapping sample allows, computes its chirp
+    kernel (phases and one FFT), then per run of bins the sample phases and
+    two FFTs of length N.  The runs are the output nodes, the wrap-edge bins
+    (two runs with the mirror, three without) and the step-halving odd
+    samples.  Given its panel count, the point route (a symmetric F only)
+    counts 16 exponent samples a panel and K moment terms per panel and
+    node.  It is chosen only when that is below the first pass of a grid
+    route, its samples and its transform: the least any grid run costs."""
     size = nside + 1 if sym else 2 * nside + 1
-    N = _sfft.next_fast_len(size + max(nx, _EDGE_RUN) - 1)
     runs = 4 if sym else 5
-    fold = M * math.log2(M) + 2 * M * math.log2(2 * M)
-    zoom = ((2 + 2 * runs) * N + runs * size) * math.log2(N)
-    return zoom < fold
+    fold_first = M * math.log2(M)
+    fold = fold_first + 2 * M * math.log2(2 * M)
+    zoom = zoom_first = math.inf
+    if 2 * nside + 1 <= M:      # no sample wraps
+        N = _sfft.next_fast_len(size + max(nx, _EDGE_RUN) - 1)
+        zoom = ((2 + 2 * runs) * N + runs * size) * math.log2(N)
+        zoom_first = ((2 * runs) * N + (runs - 1) * size) * math.log2(N)
+    if sym and panels and ((16 + _filon_K * nx) * panels
+                           < size + min(fold_first, zoom_first)):
+        return "point"
+    return "zoom" if zoom < fold else "fold"
+
+
+def _wrap(Xi: float, x0: float, hx: float, nx: int, refine: int = 1) -> Tuple[int, float, int]:
+    """(M, frequency step, nside) of a trapezoid pass over [-Xi, Xi] onto
+    the nx nodes x0 + i hx: the DFT length M covers twice the grid's reach
+    (at least 2^8, times ``refine``), the step is 2 pi / (M hx), and nside
+    samples a side reach Xi."""
+    x_reach = max(abs(x0), abs(x0 + (nx - 1) * hx)) + hx
+    M = refine << max(8, math.ceil(math.log2(2.0 * x_reach / hx + 2)))
+    dxi = 2.0 * math.pi / (M * hx)
+    return M, dxi, int(math.ceil(Xi / dxi))
 
 
 def _zoom_pass(Ffun, dxi: float, nside: int, zoom: _Zoom, sym: bool, bins: np.ndarray,
@@ -398,7 +436,7 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     x-grid.  Node i sits at x = m hx with m = x0 / hx + i, and its value is
     the DFT of the samples at bin m mod M.
 
-    Two routes give the same sums; ``_zoom_pays`` picks by transform cost.
+    Two routes give the same sums; ``_route`` picks by transform cost.
     The fold adds the samples into M bins (``_fold_frequency``) and
     transforms them all by FFT (``rfft`` for a symmetric F, read at bin
     min(m, M - m)); it is the route once samples wrap.  The zoom (``_Zoom``)
@@ -412,17 +450,14 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     fold being (bins or ``_ZoomSums``, nside, rounding estimate); the
     estimate is eps times the summed magnitude the transform takes in, the
     step / 2 pi scale and log2 of the transform length."""
-    x_reach = max(abs(x0), abs(x0 + (nx - 1) * hx)) + hx
-    M = refine << max(8, math.ceil(math.log2(2.0 * x_reach / hx + 2)))
-    dxi_eff = 2.0 * math.pi / (M * hx)
+    M, dxi_eff, nside = _wrap(Xi, x0, hx, nx, refine)
     scale = dxi_eff / (2.0 * math.pi)
-    nside = int(math.ceil(Xi / dxi_eff))
     shift = int(round(x0 / hx))
     if abs(x0 / hx - shift) > 1e-8:
         raise RangeError("grid origin must be an integer multiple of the step")
     bins = np.arange(nx) + shift
     if coarse is None:
-        if _zoom_pays(M, nside, nx, sym):
+        if _route(M, nside, nx, sym) == "zoom":
             lo = 0 if sym else -nside
             zoom = _Zoom(M, lo, nside + 1 - lo, max(nx, _EDGE_RUN))
             band, quarter = _edge_bins(M, hx, sym)
@@ -463,7 +498,123 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
 
 
 _filon_K = 12
-_filon_P = np.polynomial.legendre.legvander(_gl16_x, _filon_K - 1)  # (16, K)
+# a_k = (2k + 1) / 2 int_{-1}^{1} P_k F: the GL-16 projection onto P_0 .. P_{K-1}
+_filon_proj = (0.5 * (2.0 * np.arange(_filon_K) + 1.0)[:, None]
+               * (np.polynomial.legendre.legvander(_gl16_x, _filon_K - 1).T * _gl16_w))
+_FILON_STOP = 1e-25        # the envelope level, or
+_FILON_CAP = 1e12          # the frequency, that ends the panels
+_FILON_PANELS = 400
+_LADDER = math.sqrt(1.3)   # ratio of the envelope samples that size the panels
+_LADDER_CHUNK = 16
+_HEAD_REL = 1e-18          # the head's bound, relative to the mass below it
+
+
+class _FilonPanels(NamedTuple):
+    """Panels of a Filon run: their P + 1 edges, and ``head``, the bound on
+    the piece [0, edges[0]] of a run from the origin (None for a tail)."""
+    edges: np.ndarray
+    head: Optional[float]
+
+
+class _FilonBound(NamedTuple):
+    """The parts of a Filon run's error bound; they sum to the bound."""
+    projection: float      # the dropped Legendre orders, 2 h |a_{K-1}| a panel
+    remainder: float       # past the last panel
+    head: float            # below the first panel
+    rounding: float
+
+
+def _filon_head(env, reach: float) -> Tuple[float, float]:
+    """(u0, bound) for a run from the origin.  The head [0, u0] is taken as
+    F(u0) sin(x u0) / x, off by at most u0 |F(0) - F(u0)| where F is
+    monotone on it, as e^{-t Re psi} is near the origin.  u0 is the largest
+    of reach, reach / 10, ... at which this bound, and the bound at every
+    decade below, is at most 1e-18 of max u F(u) over the decades, a lower
+    bound on the mass.  The decades down to the exponent table's floor of
+    1e-12 are sampled at once, the rest one by one."""
+    f0 = float(env(np.zeros(1))[0])
+    d = reach * 10.0 ** -np.arange(max(math.floor(math.log10(reach / 1e-12)), 0) + 1)
+    v = env(d)
+    mass = float(np.max(d * v))
+    gap = d * np.abs(f0 - v)
+    over = np.flatnonzero(gap > _HEAD_REL * mass)
+    if not over.size:
+        return float(d[0]), float(gap[0])
+    if over[-1] + 1 < d.size:
+        return float(d[over[-1] + 1]), float(gap[over[-1] + 1])
+    u, g = float(d[-1]), float(gap[-1])
+    while g > _HEAD_REL * mass and u > 1e-300:
+        u *= 0.1
+        g = u * abs(f0 - float(env(np.array([u]))[0]))
+    return u, g
+
+
+def _filon_panels(env, u_lo: float, reach: float,
+                  pays: Optional[Callable[[int], bool]] = None) -> Optional[_FilonPanels]:
+    """Panels from u_lo > 0 (a tail) or from the origin (u_lo = 0, with the
+    head of ``_filon_head``), up to where the envelope falls below 1e-25 or
+    u passes 1e12; at most 400.  ``pays``, given a panel count, tells
+    whether a run of that many panels is still wanted: None is returned
+    without a layout when a lower bound on the count fails it, or when the
+    count itself does.
+
+    A panel is at most 0.3 u wide, and at most 4 / lambda with lambda the
+    decay rate -d ln env / du, so that degree K - 1 resolves it.  lambda is
+    the larger slope of ln env over two cells of a ladder of envelope
+    samples (ratio sqrt(1.3), from the first edge): the cell that holds the
+    panel's start and the next, which bounds the rate at the start where it
+    grows with u.  The level that ends the panels is read off the same
+    ladder.  The ladder is sampled at once up to ``reach``, a range the
+    window search has sampled already, and 16 cells past it; 16 cells at a
+    time beyond that."""
+    head = None
+    if u_lo == 0.0:
+        u_lo, head = _filon_head(env, reach)
+
+    def log_env(u):
+        return np.log(np.maximum(env(u), 1e-300))
+
+    n = max(math.ceil(math.log(reach / u_lo) / math.log(_LADDER)), 0) + _LADDER_CHUNK
+    g = u_lo * _LADDER ** np.arange(n + 1)
+    L = log_env(g)
+    stop = math.log(_FILON_STOP)
+    # the panels end only past the envelope's peak: a weighted F rises from 0
+    peak = float(g[np.argmax(L)])
+    if pays is not None:
+        # the last edge lies past every ladder sample above the stop level
+        # (or past the cap), and each panel widens u by at most 1.3
+        spent = np.flatnonzero((L < stop) & (g > peak))
+        g_s = min(float(g[spent[0] - 1] if spent.size else g[-1]), _FILON_CAP)
+        least = min(math.ceil(math.log(g_s / u_lo) / math.log(1.3) - 1e-9), _FILON_PANELS)
+        if not pays(max(least, 1)):
+            return None
+
+    def cell(u):
+        # index j of the ladder cell [g_j, g_{j+1}) that holds u, with the
+        # ladder sampled through the next cell
+        nonlocal g, L
+        while u >= g[-2]:
+            more = g[-1] * _LADDER ** np.arange(1, _LADDER_CHUNK + 1)
+            g, L = np.concatenate((g, more)), np.concatenate((L, log_env(more)))
+        return int(np.searchsorted(g, u, side="right")) - 1
+
+    e, j = u_lo, 0
+    edges = [e]
+    for _ in range(_FILON_PANELS):
+        slope = float(max((L[j] - L[j + 1]) / (g[j + 1] - g[j]),
+                          (L[j + 1] - L[j + 2]) / (g[j + 2] - g[j + 1])))
+        width = 0.3 * e
+        if slope > 0.0:
+            width = min(width, 4.0 / slope)
+        e += width
+        edges.append(e)
+        j = cell(e)
+        level = L[j] + (L[j + 1] - L[j]) * (e - g[j]) / (g[j + 1] - g[j])
+        if (level < stop and e > peak) or e > _FILON_CAP:
+            break
+    if pays is not None and not pays(len(edges) - 1):
+        return None
+    return _FilonPanels(np.array(edges), head)
 
 
 def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
@@ -488,65 +639,63 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
     return j
 
 
-def _filon_tail(env, Xi: float, x: np.ndarray) -> Tuple[np.ndarray, float]:
-    """(1/pi) Re int_Xi^inf env(u) e^{-i x u} du for an array of nonzero x.
+def _filon_tail(env, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _FilonBound]:
+    """(1/pi) int_{u_0}^inf env(u) cos(x u) du for an array of x, over the
+    ``panels`` from u_0 = edges[0]; for a run from the origin the head
+    [0, u_0] is added, so the integral starts at 0.
 
-    The envelope is expanded in Legendre polynomials on geometric panels and
+    The envelope is expanded in Legendre polynomials on each panel and
     integrated against the exact oscillatory moments
     int_{-1}^{1} P_k(tau) e^{-i s tau} d tau = 2 (-i)^k j_k(s), so the
-    accuracy is uniform in x.  Every node shares the panels, and each panel
-    takes the moments of all K orders at all nodes from one recurrence pass
-    (``_spherical_jn_orders``).  The remainder beyond the last panel is the
-    leading integration-by-parts term.  Returns (values, error estimate).
+    accuracy is uniform in x.  One envelope call serves every panel's GL-16
+    points and the points of the remainder; the moments of all K orders at
+    all (panel, node) pairs come from ``_spherical_jn_orders``, in blocks of
+    whole panels holding at most ``_FOLD_CHUNK`` pairs, or one panel when
+    its nodes alone exceed that.  The remainder beyond the last panel is the
+    leading integration-by-parts term.  Returns (values, bound parts).
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
+    edges = panels.edges
+    c = 0.5 * (edges[:-1] + edges[1:])
+    h = 0.5 * np.diff(edges)
+    U = float(edges[-1])
+    dU = 1e-3 * U
+    ev = env(np.concatenate(((c[:, None] + h[:, None] * _gl16_x).reshape(-1),
+                             [U - dU, U, U + dU, edges[0]])))
+    a = ev[:-4].reshape(-1, _gl16_x.size) @ _filon_proj.T      # (P, K)
+    # Re e^{-i x c} h sum_k a_k 2 (-i)^k j_k(x h) = h (A cos(x c) - B sin(x c))
+    k = np.arange(_filon_K)
+    sgn = np.where(k % 4 < 2, 2.0, -2.0)
+    ca = (sgn * a)[:, 0::2]
+    cb = (sgn * a)[:, 1::2]
     out = np.zeros_like(x)
-    proj = 0.5 * (2.0 * np.arange(_filon_K) + 1.0)[:, None] * (_filon_P.T * _gl16_w)
-    even = np.arange(0, _filon_K, 2)
-    odd = np.arange(1, _filon_K, 2)
-    sgn_e = (-1.0) ** (even // 2)
-    sgn_o = (-1.0) ** ((odd - 1) // 2)
-    u_lo = Xi
-    proj_err = 0.0
-    env_lo = float(env(np.array([u_lo]))[0])
-    for _ in range(400):
-        # panel width: at most +-15 percent of u and at most ~2 e-folds of
-        # envelope decay per half-width, so degree 11 resolves the panel
-        du = 1e-3 * u_lo
-        e_p = float(env(np.array([u_lo + du]))[0])
-        lam = max((env_lo - e_p) / (du * max(env_lo, 1e-300)), 0.0)
-        width = 0.3 * u_lo
-        if lam > 0.0:
-            width = min(width, 4.0 / lam)
-        u_hi = u_lo + width
-        c = 0.5 * (u_lo + u_hi)
-        h = 0.5 * (u_hi - u_lo)
-        ev = env(c + h * _gl16_x)
-        a = proj @ ev
-        jn = _spherical_jn_orders(_filon_K, ax * h)
-        A = np.zeros_like(x)
-        B = np.zeros_like(x)
-        for k, sg in zip(even, sgn_e):
-            A += 2.0 * sg * a[k] * jn[k]
-        for k, sg in zip(odd, sgn_o):
-            B += 2.0 * sg * a[k] * jn[k]
-        out += h * (A * np.cos(ax * c) - B * np.sin(ax * c))
-        proj_err += 2.0 * h * abs(a[-1])
-        u_lo = u_hi
-        env_lo = float(env(np.array([u_lo]))[0])
-        if env_lo < 1e-25 or u_lo > 1e12:
-            break
-    U = u_lo
-    envU = env_lo
+    per = max(1, _FOLD_CHUNK // x.size)
+    for b in range(0, h.size, per):
+        blk = slice(b, b + per)
+        jn = _spherical_jn_orders(_filon_K, (h[blk, None] * ax).reshape(-1))
+        jn = jn.reshape(_filon_K, -1, x.size)
+        A = np.einsum("pk,kpn->pn", ca[blk], jn[0::2])
+        B = np.einsum("pk,kpn->pn", cb[blk], jn[1::2])
+        phase = c[blk, None] * ax
+        out += np.sum(h[blk, None] * (A * np.cos(phase) - B * np.sin(phase)), axis=0)
+    envU = float(ev[-3])
     # leading integration-by-parts term for the remainder past the panels
     out -= envU * np.sin(ax * U) / np.maximum(ax, 1e-300)
-    dU = 1e-3 * U
-    envp = abs(float(env(np.array([U + dU]))[0]) - float(env(np.array([U - dU]))[0])) / (2.0 * dU)
+    envp = abs(float(ev[-2]) - float(ev[-4])) / (2.0 * dU)
     x_min = float(np.min(ax))
-    rem_err = min(envp / max(x_min, 1e-300) ** 2 + envU / max(U * x_min * x_min, 1e-300),
-                  3.0 * envU * U)
-    return out / math.pi, (proj_err + rem_err) / math.pi
+    rem = 3.0 * envU * U
+    if x_min > 0.0:
+        rem = min(envp / x_min ** 2 + envU / (U * x_min * x_min), rem)
+    head = 0.0
+    if panels.head is not None:
+        u0, head = float(edges[0]), panels.head
+        out += float(ev[-1]) * u0 * np.sinc(ax * (u0 / math.pi))
+    proj = float(np.sum(2.0 * h * np.abs(a[:, -1])))
+    mag = float(np.sum(2.0 * h * np.sum(np.abs(a), axis=1)))
+    rnd = _EPS * mag * math.log2(edges.size * _filon_K)
+    return out / math.pi, _FilonBound(proj / math.pi, rem / math.pi,
+                                      head / math.pi, rnd / math.pi)
 
 
 _OSC_PANELS = 240     # half-period panels of an oscillatory tail, per node or radius
@@ -639,11 +788,23 @@ def _osc_tail_term(Ffun_c, env, Xi, x: np.ndarray,
     return val, err
 
 
-def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
-               weight: Optional[Callable] = None) -> DensityField:
-    hx = _uniform_step(x)
-    x0 = float(x[0])
-    nx = x.size
+class _Integrand(NamedTuple):
+    """What every 1-d route integrates: ``F`` is e^{-t psi} (times the
+    weight), real and even when ``sym``; ``env`` its envelope |F| on
+    u >= 0, which is F itself when ``sym`` (the weight, a power of an
+    exponent's real part, is nonnegative); ``Xi`` the window of
+    ``_choose_window``."""
+    sym: bool
+    F: Callable
+    env: Callable
+    Xi: float
+
+
+def _integrand_1d(model: ModelSpec, t: float, x: np.ndarray, hx: float,
+                  weight: Optional[Callable] = None) -> _Integrand:
+    """The integrand at time t and its window for the grid x of step hx.
+    The window search runs for every route, so a non-integrable e^{-t Re psi}
+    raises IntegrabilityRefusal here."""
     sym = not (model.measure.onesided or model.measure.point_atoms() or any(model.drift))
     profile = re_psi_profile(model)
 
@@ -651,18 +812,17 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
         env = lambda u: np.exp(-t * profile(np.abs(u)))
     else:
         env = lambda u: np.abs(weight(np.abs(u))) * np.exp(-t * profile(np.abs(u)))
-    dxi_cap = math.pi / (max(abs(x0), abs(x[-1])) + hx)
-    Xi, tail = _choose_window(env, t, 1, dxi_cap)
+    dxi_cap = math.pi / (max(abs(float(x[0])), abs(float(x[-1]))) + hx)
+    Xi, _ = _choose_window(env, t, 1, dxi_cap)
 
     if sym:
-        def Ffun(xi):
+        def F(xi):
             out = np.exp(-t * profile(np.abs(xi)))
             if weight is not None:
                 out = out * weight(np.abs(xi))
             return out
-        Ffun_c = Ffun
     else:
-        def Ffun_c(xi):
+        def F(xi):
             flat = np.asarray(xi, dtype=float).reshape(-1)
             if model.psi_exact_vec is not None:
                 psis = model.psi_exact_vec(flat)
@@ -672,11 +832,41 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
             if weight is not None:
                 vals = vals * weight(np.abs(xi))
             return vals
-        Ffun = Ffun_c
+    return _Integrand(sym, F, env, Xi)
 
+
+def _point_panels(f: _Integrand, x0: float, hx: float, nx: int) -> Optional[_FilonPanels]:
+    """The panels of the point route from the origin, when ``_route`` finds
+    it cheaper than the grid route's first pass; else None."""
+    if not f.sym:
+        return None
+    M, _, nside = _wrap(f.Xi, x0, hx, nx)
+
+    def pays(panels):
+        return _route(M, nside, nx, True, panels) == "point"
+    return _filon_panels(f.env, 0.0, f.Xi, pays) if pays(1) else None
+
+
+def _point_pass(f: _Integrand, panels: _FilonPanels,
+                x: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The point route: p(x_i) = (1/pi) int_0^inf F(u) cos(x_i u) du at the
+    exact nodes, one Filon run from the origin (``_filon_tail``).  It has no
+    wrap, no Richardson pass and no node placement error; its bound is the
+    sum of the run's projection, remainder, head and rounding parts.
+    Returns (values, tail_bound)."""
+    vals, bound = _filon_tail(f.env, panels, x)
+    return vals, sum(bound)
+
+
+def _grid_pass(f: _Integrand, x: np.ndarray, hx: float) -> Tuple[np.ndarray, float]:
+    """The fold or zoom route (``_grid_1d_sum``) with its wrap widening, its
+    Richardson pass and the analytic frequency tail past the window.
+    Returns (values, complex for a non-symmetric F, and tail_bound)."""
+    x0 = float(x[0])
+    nx = x.size
+    Ffun, env, sym, Xi = f.F, f.env, f.sym, f.Xi
     # widen the DFT wrap period until the folded-image (aliasing) level is
     # negligible; heavy-tailed densities need a period far beyond the grid
-    x_reach = max(abs(x0), abs(x[-1])) + hx
     refine = 1
     while True:
         p1, (alias_est, p_quarter), d1, M1, fold1 = _grid_1d_sum(
@@ -712,22 +902,33 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
         # Filon route evaluates it for every nonzero grid node at once
         osc = x == 0.0
         if not np.all(osc):
-            corr[~osc], ce = _filon_tail(env, Xi_eff, x[~osc])
-            corr_err = max(corr_err, ce)
+            corr[~osc], ce = _filon_tail(env, _filon_panels(env, Xi_eff, Xi_eff), x[~osc])
+            corr_err = max(corr_err, sum(ce))
     if np.any(osc):
-        c, e = _osc_tail_term(Ffun_c, env, Xi_eff, x[osc], sym)
+        c, e = _osc_tail_term(Ffun, env, Xi_eff, x[osc], sym)
         corr[osc] = c.real
         corr_err = max([corr_err, *e.tolist()])
     p = p + corr
 
-    vals = np.real(p)
-    residue = float(np.max(np.abs(np.imag(p)))) if p.size else 0.0
-    mass = float(np.trapezoid(vals, x))
     # the sums sit at x = (x0 / hx + i) hx, which misses x[i] by the rounding
     # carried in hx = x[1] - x[0]; the slope of the result converts the miss
     miss = np.abs(x - (round(x0 / hx) + np.arange(nx)) * hx)
-    rounding += float(np.max(miss * np.abs(np.gradient(vals, x))))
-    tail_bound = alias_est + float(np.max(np.abs(p2 - p1))) / 3.0 + corr_err + rounding
+    rounding += float(np.max(miss * np.abs(np.gradient(np.real(p), x))))
+    return p, alias_est + float(np.max(np.abs(p2 - p1))) / 3.0 + corr_err + rounding
+
+
+def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
+               weight: Optional[Callable] = None) -> DensityField:
+    hx = _uniform_step(x)
+    f = _integrand_1d(model, t, x, hx, weight)
+    panels = _point_panels(f, float(x[0]), hx, x.size)
+    if panels is not None:
+        p, tail_bound = _point_pass(f, panels, x)
+    else:
+        p, tail_bound = _grid_pass(f, x, hx)
+    vals = np.real(p)
+    residue = float(np.max(np.abs(np.imag(p)))) if p.size else 0.0
+    mass = float(np.trapezoid(vals, x))
     return DensityField(kind="grid", dim=1, t=t, nodes=(np.asarray(x, float),),
                         values=vals, mass=mass, tail_bound=tail_bound,
                         imag_residue=residue)

@@ -83,6 +83,25 @@ def _expect(d: dict, key: str, types, field: str, required: bool = True,
     return v
 
 
+def _real(v, field: str) -> float:
+    """float(v), refused with the field's name unless it is a finite number:
+    JSON admits NaN and Infinity, which no model parameter may be."""
+    try:
+        x = float(v)
+    except (TypeError, ValueError, OverflowError):
+        raise ModelFormatError(f"expected a number, got {v!r}", field=field) from None
+    if not math.isfinite(x):
+        raise ModelFormatError(f"number must be finite, got {v!r}", field=field)
+    return x
+
+
+def _reals(v, field: str) -> tuple:
+    """A list of finite numbers, each refused by its index."""
+    if not isinstance(v, list):
+        raise ModelFormatError(f"expected list, got {type(v).__name__}", field=field)
+    return tuple(_real(c, f"{field}[{i}]") for i, c in enumerate(v))
+
+
 def _reject_unknown(d: dict, allowed, context: str):
     extra = sorted(set(d) - set(allowed))
     if extra:
@@ -105,13 +124,14 @@ def measure_from_dict(d: dict) -> MeasureSpec:
                 raise ModelFormatError("atom must be an object",
                                        field=f"measure.atoms[{i}]")
             _reject_unknown(a, ("mass", "radius", "point"), f"measure.atoms[{i}]")
-            mass = _expect(a, "mass", (int, float), f"measure.atoms[{i}].mass")
+            where = f"measure.atoms[{i}]"
+            mass = _expect(a, "mass", (int, float), f"{where}.mass")
             radius = a.get("radius")
             point = a.get("point")
             atoms.append(AtomSpec(
-                mass=float(mass),
-                radius=None if radius is None else float(radius),
-                point=None if point is None else tuple(float(c) for c in point)))
+                mass=_real(mass, f"{where}.mass"),
+                radius=None if radius is None else _real(radius, f"{where}.radius"),
+                point=None if point is None else _reals(point, f"{where}.point")))
         return MeasureSpec(variant="atoms", atoms=tuple(atoms))
     if variant == "family":
         _reject_unknown(d, ("variant", "family", "params", "onesided"), "measure")
@@ -120,6 +140,8 @@ def measure_from_dict(d: dict) -> MeasureSpec:
                          required=False, default={})
         onesided = bool(_expect(d, "onesided", bool, "measure.onesided",
                                 required=False, default=False))
+        for key, val in params.items():
+            _real(val, f"measure.params.{key}")
         return MeasureSpec(variant="family", family=family,
                            params=dict(params), onesided=onesided)
     if variant == "table":
@@ -130,8 +152,8 @@ def measure_from_dict(d: dict) -> MeasureSpec:
         interp = _expect(d, "interp", str, "measure.interp",
                          required=False, default="loglog")
         return MeasureSpec(variant="table",
-                           r_nodes=tuple(float(x) for x in r),
-                           rho_values=tuple(float(x) for x in v),
+                           r_nodes=_reals(r, "measure.r_nodes"),
+                           rho_values=_reals(v, "measure.rho_values"),
                            interp=interp)
     raise ModelFormatError(f"unknown measure variant '{variant}'",
                            field="measure.variant")
@@ -149,11 +171,8 @@ def model_from_dict(d: dict) -> ModelSpec:
     isotropic = bool(_expect(d, "isotropic", bool, "isotropic",
                              required=False, default=False))
     name = _expect(d, "name", str, "name", required=False, default="")
-    try:
-        drift_t = tuple(float(c) for c in drift)
-        gauss_t = tuple(tuple(float(c) for c in row) for row in gaussian)
-    except (TypeError, ValueError) as exc:
-        raise ModelFormatError(f"non-numeric entry: {exc}", field="drift/gaussian")
+    drift_t = _reals(drift, "drift")
+    gauss_t = tuple(_reals(row, f"gaussian[{i}]") for i, row in enumerate(gaussian))
     return ModelSpec(dim=dim, drift=drift_t, gaussian=gauss_t, measure=measure,
                      isotropic=isotropic, name=name)
 

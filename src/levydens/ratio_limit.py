@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import RangeError, UnsupportedModelError
+from .errors import DimensionMismatchError, RangeError, UnsupportedModelError
 from .levy_core import ModelSpec, re_psi_profile
 from .inversion import invert_grid, invert_radial, pt_zero
 from .quadrature import _head_integral, _tail_integral
@@ -105,13 +105,17 @@ def inf_re_psi_outside(model: ModelSpec, delta: float) -> Tuple[float, bool]:
 
 
 def ratio_px_p0(model: ModelSpec, t: float, x) -> float:
-    """p_t(x) / p_t(0) from a single inversion pass."""
+    """p_t(x) / p_t(0) from a single inversion pass.
+
+    ``x`` is a point with ``model.dim`` coordinates, or a scalar: the
+    coordinate in dim 1, the radius |x| above (the exponent is radial)."""
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
-    if model.dim == 1:
-        xv = float(np.asarray(x).reshape(-1)[0]) if np.ndim(x) else float(x)
-    else:
-        xv = float(np.linalg.norm(np.asarray(x, dtype=float)))
+    xa = np.asarray(x, dtype=float)
+    if xa.ndim and xa.size != model.dim:
+        raise DimensionMismatchError(
+            f"field 'x' has {xa.size} coordinates, model dim is {model.dim}")
+    xv = float(xa.reshape(-1)[0]) if model.dim == 1 else float(np.linalg.norm(xa))
     if not math.isfinite(xv):
         raise RangeError(f"x={x} must be finite")
     if xv == 0.0:

@@ -211,3 +211,18 @@ def test_grid_spec_rejected(capsys, argv, spec):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and f"'{spec}'" in err
+
+
+@pytest.mark.parametrize("text, field", [
+    ('{"dim": 1, "drift": [0.0], "gaussian": [[0.0]], "measure": {"variant": "atoms",'
+     ' "atoms": [{"mass": 1, "radius": Infinity}]}}', "measure.atoms[0].radius"),
+    ('{"dim": 1, "drift": [NaN], "gaussian": [[2.0]], "measure": {"variant": "none"}}',
+     "drift[0]"),
+])
+def test_model_file_with_non_finite_number(tmp_path, capsys, text, field):
+    path = tmp_path / "m.json"
+    path.write_text(text)
+    code, out, err = _run(capsys, "density", "--model", str(path), "--t", "1",
+                          "--grid", "-1:1:0.5")
+    assert code == 1
+    assert f"field '{field}'" in err and "Traceback" not in err

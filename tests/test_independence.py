@@ -4,7 +4,8 @@
   xi-quadrature code with the Fourier route: it calls nothing in
   ``inversion``, and it reaches ``quadrature`` only through the radial
   exponent engine, whose code any route may share.  That holds on the
-  counted route (the shells) too.
+  counted route (the shells) too.  In the other direction, the Fourier
+  point route calls nothing in ``rearrangement``.
 * The cosine-average exponent route (``eval_re_psi``) calls no Bessel code
   in ``specfun``; the Bessel-kernel route (``iso_g``) does.
 
@@ -19,8 +20,9 @@ import sys
 import numpy as np
 import pytest
 
-from levydens import inversion, quadrature, radialquad, specfun
+from levydens import inversion, quadrature, radialquad, rearrangement, specfun
 from levydens.levy_core import builtin_model, eval_re_psi, iso_g, re_psi_profile
+from levydens.ratio_limit import ratio_px_p0
 from levydens.rearrangement import nu_dist, nu_inverse, pt0_laplace
 
 
@@ -86,6 +88,14 @@ def test_laplace_route_reaches_quadrature_only_through_the_engine():
     outside = [name for path, name, stack in hits
                if path == inversion.__file__ or radialquad.__file__ not in stack]
     assert outside == []
+
+
+@pytest.mark.parametrize("name, kw", [("cauchy", {}), ("stable", {"alpha": 1.3})])
+def test_point_route_reaches_no_laplace_code(name, kw):
+    model = builtin_model(name, **kw)
+    hits = _calls_into((inversion, rearrangement), ratio_px_p0, model, 1.0, 2.0)
+    assert "_point_pass" in {fn for _, fn, _ in hits}      # the point route ran
+    assert [fn for path, fn, _ in hits if path == rearrangement.__file__] == []
 
 
 @pytest.mark.parametrize("name, dim", [("truncated_stable", 3), ("tempered_stable", 1)])

@@ -574,3 +574,110 @@ def test_non_radial_gaussian_part_is_refused():
     drifted = ModelSpec(2, (1.0, 0.0), ((2.0, 0.0), (0.0, 2.0)), none)
     with pytest.raises(UnsupportedModelError, match="drift"):
         invert_grid(drifted, 1.0, grid)
+
+
+# -- the point route ----------------------------------------------------------
+
+def _point_and_grid(model, t, x, grid=False):
+    """The point pass, and with ``grid`` the grid pass, on the nodes x, each
+    called as ``_invert_1d`` calls it: (values, tail_bound) per pass."""
+    hx = float(x[1] - x[0])
+    f = inversion._integrand_1d(model, t, x, hx)
+    point = inversion._point_pass(f, inversion._filon_panels(f.env, 0.0, f.Xi), x)
+    if not grid:
+        return point
+    p, bound = inversion._grid_pass(f, x, hx)
+    return point, (np.real(p), bound)
+
+
+def _nodes(n, h):
+    """n nodes of step h with 0 among them."""
+    return (np.arange(n) - n // 2) * h
+
+
+@pytest.mark.parametrize("name, family, t, tol", [
+    ("gaussian", "gaussian", 0.75, 1e-10),
+    ("cauchy", "cauchy", 1.0, 1e-8),
+    ("sym_gamma", "laplace", 1.0, 1e-6),
+    ("sym_gamma", "sym_gamma_besselk", 1.45, 1e-6),
+])
+@pytest.mark.parametrize("n, h", [(2, 1.0), (2, 4.6), (5, 0.5), (9, 0.8)])
+def test_point_pass_matches_closed_form(name, family, t, tol, n, h):
+    x = _nodes(n, h)
+    vals, bound = _point_and_grid(builtin_model(name), t, x)
+    ref = np.array([closed_form(family, t, v) for v in x])
+    err = float(np.max(np.abs(vals - ref)))
+    assert err <= bound
+    assert err <= tol
+
+
+@pytest.mark.parametrize("alpha, t", [(1.3, 1.0), (1.7, 1.0), (0.5, 1000.0), (1.5, 0.01)])
+def test_point_pass_stable_at_zero(alpha, t):
+    # Gamma(1 + 1/alpha) / (pi t^(1/alpha)); at alpha = 0.5, t = 1000 the
+    # grid route's wrap gives p(0) 25 times too large
+    x = _nodes(9, 0.8)
+    vals, bound = _point_and_grid(builtin_model("stable", alpha=alpha), t, x)
+    want = math.gamma(1.0 + 1.0 / alpha) / (math.pi * t ** (1.0 / alpha))
+    assert abs(vals[4] - want) <= bound
+    assert vals[4] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_point_route_refuses_below_the_threshold():
+    with pytest.raises(IntegrabilityRefusal):
+        invert_grid(builtin_model("sym_gamma"), 0.45, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("name, kw, t, x", [
+    ("cauchy", {}, 1.0, _nodes(9, 0.5)),
+    ("stable", {"alpha": 1.5}, 1.0, _nodes(9, 0.8)),
+    ("sym_gamma", {}, 1.45, _nodes(5, 2.0)),
+    ("gaussian", {}, 0.75, _nodes(5, 0.5)),
+])
+def test_point_and_grid_passes_agree(name, kw, t, x):
+    (pv, pb), (gv, gb) = _point_and_grid(builtin_model(name, **kw), t, x, grid=True)
+    assert np.max(np.abs(pv - gv)) <= pb + gb
+
+
+def _count_point_routes(monkeypatch):
+    calls = []
+    real = inversion._point_pass
+
+    def spy(*args):
+        calls.append(args[2].size)
+        return real(*args)
+    monkeypatch.setattr(inversion, "_point_pass", spy)
+    return calls
+
+
+def test_few_node_ratios_take_the_point_route(monkeypatch):
+    from levydens.ratio_limit import ratio_px_p0
+    calls = _count_point_routes(monkeypatch)
+    for x in (1.0, 3.0, 4.6):
+        ratio_px_p0(builtin_model("cauchy"), 1.0, x)
+    ratio_px_p0(builtin_model("stable", alpha=1.3), 1.0, 2.0)
+    assert calls == [2, 2, 2, 2]
+
+
+@pytest.mark.parametrize("name, kw, t, x", [
+    ("cauchy", {}, 1.0, (np.arange(2001) - 1000) * 0.01),
+    ("stable", {"alpha": 1.5}, 1.0, (np.arange(2001) - 1000) * 0.01),
+    ("gaussian", {}, 0.75, (np.arange(2001) - 1000) * 0.01),
+    ("sym_gamma", {}, 1.0, (np.arange(2001) - 1000) * 0.002),
+    ("gamma", {}, 1.95, 0.25 + np.arange(381) * 0.0125),
+])
+def test_many_node_grids_keep_the_grid_route(monkeypatch, name, kw, t, x):
+    calls = _count_point_routes(monkeypatch)
+    invert_grid(builtin_model(name, **kw), t, x)
+    assert calls == []
+
+
+def test_filon_panels_keep_the_width_rule():
+    # each panel is at most 0.3 u wide and at most 4 / lambda, lambda read
+    # off the ladder; the last one ends where the envelope is spent
+    env = lambda u: np.exp(-0.75 * u * u)
+    for start in (0.0, 3.0):
+        edges = inversion._filon_panels(env, start, 50.0).edges
+        w = np.diff(edges)
+        assert np.all(w <= 0.3 * edges[:-1] * (1.0 + 1e-12))
+        assert np.all(w <= 4.0 / (1.5 * edges[:-1]) * (1.0 + 1e-12))
+        assert env(edges[-2:-1])[0] >= 1e-25 > env(edges[-1:])[0]

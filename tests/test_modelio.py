@@ -1,6 +1,7 @@
 """Model serialization: canonical round trips, builtin refs, schema errors."""
 
 import json
+import math
 
 import pytest
 
@@ -115,3 +116,63 @@ def test_builtin_names_all_constructible():
     for name in modelio.BUILTIN_NAMES:
         m = modelio.load_model(f"builtin:{name}")
         assert m.dim >= 1
+
+
+def _doc_with(path, value):
+    """A valid model document with ``value`` put at ``path`` (keys and list
+    indices)."""
+    docs = {
+        "drift": {"dim": 1, "drift": [0.0], "gaussian": [[2.0]],
+                  "measure": {"variant": "none"}},
+        "atoms": {"dim": 1, "drift": [0.0], "gaussian": [[0.0]],
+                  "measure": {"variant": "atoms",
+                              "atoms": [{"mass": 1.0, "radius": 0.5},
+                                        {"mass": 1.0, "point": [1.0]}]}},
+        "family": {"dim": 1, "drift": [0.0], "gaussian": [[0.0]],
+                   "measure": {"variant": "family", "family": "stable",
+                               "params": {"alpha": 1.5}}},
+        "table": {"dim": 1, "drift": [0.0], "gaussian": [[0.0]],
+                  "measure": {"variant": "table", "r_nodes": [0.5, 2.0],
+                              "rho_values": [1.0, 0.5], "interp": "linear"}},
+    }
+    doc = json.loads(json.dumps(docs[path[0]]))
+    node = doc
+    for key in path[1:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_NON_FINITE = [
+    (("drift", "drift", 0), "drift[0]"),
+    (("drift", "gaussian", 0, 0), "gaussian[0][0]"),
+    (("atoms", "measure", "atoms", 0, "mass"), "measure.atoms[0].mass"),
+    (("atoms", "measure", "atoms", 0, "radius"), "measure.atoms[0].radius"),
+    (("atoms", "measure", "atoms", 1, "point", 0), "measure.atoms[1].point[0]"),
+    (("family", "measure", "params", "alpha"), "measure.params.alpha"),
+    (("table", "measure", "r_nodes", 1), "measure.r_nodes[1]"),
+    (("table", "measure", "rho_values", 0), "measure.rho_values[0]"),
+]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("path, field", _NON_FINITE, ids=[f for _, f in _NON_FINITE])
+def test_non_finite_numbers_name_their_field(tmp_path, path, field, bad):
+    # JSON admits NaN and Infinity; the canonical form (and so the digest)
+    # cannot hold them, so the loader refuses them by field
+    p = tmp_path / "m.json"
+    p.write_text(json.dumps(_doc_with(path, bad)))
+    with pytest.raises(ModelFormatError) as exc_info:
+        modelio.load_model(p)
+    assert exc_info.value.field == field
+    # the same document with a finite number loads and digests
+    p.write_text(json.dumps(_doc_with(path, 1.0)))
+    assert len(modelio.model_digest(modelio.load_model(p))) == 64
+
+
+def test_non_numeric_atom_entries_name_their_field():
+    for atom, field in (({"mass": 1.0, "radius": "far"}, "measure.atoms[0].radius"),
+                        ({"mass": 1.0, "point": 2.0}, "measure.atoms[0].point")):
+        with pytest.raises(ModelFormatError) as exc_info:
+            modelio.measure_from_dict({"variant": "atoms", "atoms": [atom]})
+        assert exc_info.value.field == field

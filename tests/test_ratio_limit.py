@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from levydens.errors import RangeError, UnsupportedModelError
+from levydens import inversion
+from levydens.errors import (
+    DimensionMismatchError,
+    IntegrabilityRefusal,
+    RangeError,
+    UnsupportedModelError,
+)
 from levydens.levy_core import ModelSpec, builtin_model
 from levydens.measures import AtomSpec, MeasureSpec
 from levydens.ratio_limit import (
@@ -107,6 +113,38 @@ def test_ratio_px_p0_dim2():
     got = ratio_px_p0(m, 2.0, np.array([3.0, 4.0]))
     want = (4.0 / (4.0 + 25.0)) ** 1.5
     assert got == pytest.approx(want, rel=1e-7)
+
+
+def test_ratio_px_p0_checks_the_point_dimension():
+    with pytest.raises(DimensionMismatchError, match="'x'"):
+        ratio_px_p0(builtin_model("cauchy"), 1.0, np.array([4.6, 99.0]))
+    with pytest.raises(DimensionMismatchError, match="'x'"):
+        ratio_px_p0(builtin_model("cauchy", dim=2), 2.0, np.array([3.0, 4.0, 0.0]))
+    # a scalar is the coordinate in dim 1 and the radius above
+    assert ratio_px_p0(builtin_model("cauchy"), 1.0, np.array([2.0])) == \
+        ratio_px_p0(builtin_model("cauchy"), 1.0, 2.0)
+    assert ratio_px_p0(builtin_model("cauchy", dim=2), 2.0, 5.0) == pytest.approx(
+        (4.0 / 29.0) ** 1.5, rel=1e-7)
+
+
+def test_ratio_px_p0_cauchy_large_time(monkeypatch):
+    # two nodes take the point route, which has no wrap: p_t(1) / p_t(0) =
+    # t^2 / (t^2 + 1) to 1e-12 at every rung of the ladder
+    calls = []
+    real = inversion._point_pass
+    monkeypatch.setattr(inversion, "_point_pass",
+                        lambda *a: calls.append(1) or real(*a))
+    for t in (1.0, 10.0, 100.0, 1000.0):
+        got = ratio_px_p0(builtin_model("cauchy"), t, 1.0)
+        assert got == pytest.approx(t * t / (t * t + 1.0), rel=1e-12, abs=0.0)
+    assert len(calls) == 4
+
+
+def test_ratio_px_p0_refuses_below_the_threshold():
+    # sym_gamma has a density only for t > 1/2: the window search runs
+    # before the route is chosen, so two nodes still refuse
+    with pytest.raises(IntegrabilityRefusal):
+        ratio_px_p0(builtin_model("sym_gamma"), 0.45, 1.0)
 
 
 def test_semigroup_ratio_converges():
