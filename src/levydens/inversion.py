@@ -14,7 +14,8 @@ half axis xi >= 0 is sampled.
 
 A 1-d grid takes one of three routes, chosen per inversion by counted cost
 (``_route``) from M, the sample count, the node count and, for a symmetric
-exponent, the point route's panel count.  Two of them take the DFT:
+exponent, the point route's panel count, with M the wrap that the grid's
+first pass predicts.  Two of them take the DFT:
 
 * the fold adds each sample into bin k mod M by slices (a contiguous run of
   k lands on contiguous bins) and transforms all M bins by FFT; the mirrored
@@ -32,8 +33,15 @@ on few nodes: p(x_i) = (1/pi) int_0^inf F(u) cos(x_i u) du at the exact
 nodes, by one Filon run from the origin (Filon 1928; Iserles and Norsett
 2005).  It has no wrap, no Richardson pass and no node placement error.
 It costs about 16 exponent samples a panel and K moment terms per panel and
-node, and it is chosen only when that is below the first pass of a grid
-route, the least any grid run costs.  Its tail_bound is the sum of four
+node.  The route is chosen after the grid route's first pass, which
+predicts the wrap the grid widens to (``_widened``, the same jump rule the
+widening runs): the point route is taken only when its weighted cost is
+below a grid pass at that wrap, a lower bound on any grid run.  A wrap
+edge that shows no decay predicts only a doubling; the grid's next passes,
+which it would run anyway, then run before the choice.  The grid route
+continues from the passes already run, so none runs twice.  A symmetric F
+whose grid origin is off the step's lattice takes the point route, which
+needs no DFT bins.  Its tail_bound is the sum of four
 parts: the projection (the dropped Legendre orders), the remainder past the
 last panel, the head below the first panel, and the rounding.
 
@@ -358,6 +366,47 @@ class _ZoomSums(NamedTuple):
 
 _EDGE_RUN = 16     # longest cluster of ``_edge_bins``, read by one zoom run
 _EPS = float(np.finfo(float).eps)
+_ALIAS_TOL = 1e-8          # the folded-image level that ends the wrap widening
+_WRAP_CAP = 1 << 21        # the widest wrap it tries
+_DECAY_MIN = 0.1           # the least edge decay power the widening extrapolates
+_POINT_WEIGHT = 16.0       # counted units per point-route term (see ``_route``)
+
+
+def _decay(edge: Tuple[float, float]) -> float:
+    """The power q of the density's decay between the quarter period and
+    the wrap edge, read from a pass's ``_edge_levels``; 0 when either level
+    is 0."""
+    alias_est, p_quarter = edge
+    if p_quarter > 0.0 and alias_est > 0.0:
+        return math.log(max(2.0 * p_quarter / alias_est, 1.0 + 1e-12)) / math.log(2.0)
+    return 0.0
+
+
+def _widened(edge: Tuple[float, float], M: int, refine: int) -> int:
+    """The refine factor of the next wrap after a pass at wrap M and
+    ``refine`` whose ``_edge_levels`` are ``edge``: ``refine`` itself when
+    that pass's folded-image level is below 1e-8 or M is already 2^21 bins.
+    Otherwise, when the edge shows a decay of power q > 0.1, it predicts the
+    wrap that meets 1e-8 from it and jumps there at once; it doubles when it
+    shows none.  A jump is at least a doubling and ends at 2^21 bins."""
+    alias_est = edge[0]
+    if alias_est < _ALIAS_TOL or M >= _WRAP_CAP:
+        return refine
+    jump = 2
+    q = _decay(edge)
+    if q > _DECAY_MIN:
+        need = (alias_est / _ALIAS_TOL) ** (1.0 / q)
+        jump = max(2, 1 << math.ceil(math.log2(need)))
+    while refine * jump > _WRAP_CAP // (M // refine):
+        jump //= 2
+    return refine * max(jump, 2)
+
+
+def _lattice_shift(x0: float, hx: float) -> Optional[int]:
+    """x0 / hx when the grid origin is an integer multiple of the step, as
+    the DFT routes need (node i then sits on bin x0 / hx + i); else None."""
+    shift = int(round(x0 / hx))
+    return shift if abs(x0 / hx - shift) <= 1e-8 else None
 
 
 def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
@@ -370,10 +419,33 @@ def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
     kernel (phases and one FFT), then per run of bins the sample phases and
     two FFTs of length N.  The runs are the output nodes, the wrap-edge bins
     (two runs with the mirror, three without) and the step-halving odd
-    samples.  Given its panel count, the point route (a symmetric F only)
-    counts 16 exponent samples a panel and K moment terms per panel and
-    node.  It is chosen only when that is below the first pass of a grid
-    route, its samples and its transform: the least any grid run costs."""
+    samples.
+
+    Given its panel count P, the point route (a symmetric F only) counts
+    W (16 + K nx) P: 16 exponent samples a panel and K moment terms per
+    panel and node, each weighted by W = 16 counted units.  It is chosen
+    only when that is below the first pass of a grid route, its samples and
+    its transform, at the wrap M (with its nside) that ``_invert_1d``'s
+    first pass predicts.  Widening only grows M, so that is a lower bound on
+    what the grid route costs.  W is measured: on many nodes a point-route
+    term costs about 0.2 us and a counted grid unit 8-13 ns.  The
+    break-even W* of an input (that grid count over (16 + K nx) P), with
+    the faster route after the shared first pass timed on 2 vCPUs, is
+
+        point route faster:  cauchy on 5 nodes 8,091, on 12 nodes 2,954 and
+          on 41 nodes 894; two-node ratios of cauchy 1,011-2,122, stable
+          alpha 1.3 276, 1.5 64.6-71.6 and 1.7 16.7-16.9; stable 1.5 on 9
+          nodes 61-62;
+        grid route faster:  stable 1.7 on 9 nodes 15.4-15.6 (3.6 ms
+          against 2.6-3.4 ms); on 2001 nodes stable 5.3-5.9, cauchy 4.7,
+          sym_gamma 0.07, Laplace 0.06 and gaussian 0.01 (0.5-0.7 s
+          against 9-80 ms); two-node gaussian ratios 1.9-2.1 (1.4 ms
+          against 0.7 ms); sym_gamma on 5 nodes 0.44-0.49 and gaussian
+          on 5 nodes 0.79-0.87;
+        either:  two-node sym_gamma ratios 1.06-1.20 (1.1-2.3 ms each).
+
+    W = 16 falls between the nine-node and the two-node stable 1.7 inputs,
+    the closest pair on either side."""
     size = nside + 1 if sym else 2 * nside + 1
     runs = 4 if sym else 5
     fold_first = M * math.log2(M)
@@ -383,7 +455,7 @@ def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
         N = _sfft.next_fast_len(size + max(nx, _EDGE_RUN) - 1)
         zoom = ((2 + 2 * runs) * N + runs * size) * math.log2(N)
         zoom_first = ((2 * runs) * N + (runs - 1) * size) * math.log2(N)
-    if sym and panels and ((16 + _filon_K * nx) * panels
+    if sym and panels and (_POINT_WEIGHT * (16 + _filon_K * nx) * panels
                            < size + min(fold_first, zoom_first)):
         return "point"
     return "zoom" if zoom < fold else "fold"
@@ -452,9 +524,9 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     step / 2 pi scale and log2 of the transform length."""
     M, dxi_eff, nside = _wrap(Xi, x0, hx, nx, refine)
     scale = dxi_eff / (2.0 * math.pi)
-    shift = int(round(x0 / hx))
-    if abs(x0 / hx - shift) > 1e-8:
-        raise RangeError("grid origin must be an integer multiple of the step")
+    shift = _lattice_shift(x0, hx)
+    if shift is None:
+        raise RangeError("grid origin must be an integer multiple of the step (field 'grid')")
     bins = np.arange(nx) + shift
     if coarse is None:
         if _route(M, nside, nx, sym) == "zoom":
@@ -835,12 +907,14 @@ def _integrand_1d(model: ModelSpec, t: float, x: np.ndarray, hx: float,
     return _Integrand(sym, F, env, Xi)
 
 
-def _point_panels(f: _Integrand, x0: float, hx: float, nx: int) -> Optional[_FilonPanels]:
+def _point_panels(f: _Integrand, x0: float, hx: float, nx: int,
+                  refine: int) -> Optional[_FilonPanels]:
     """The panels of the point route from the origin, when ``_route`` finds
-    it cheaper than the grid route's first pass; else None."""
+    it cheaper than the grid route's pass at the wrap of ``refine``; else
+    None."""
     if not f.sym:
         return None
-    M, _, nside = _wrap(f.Xi, x0, hx, nx)
+    M, _, nside = _wrap(f.Xi, x0, hx, nx, refine)
 
     def pays(panels):
         return _route(M, nside, nx, True, panels) == "point"
@@ -858,32 +932,25 @@ def _point_pass(f: _Integrand, panels: _FilonPanels,
     return vals, sum(bound)
 
 
-def _grid_pass(f: _Integrand, x: np.ndarray, hx: float) -> Tuple[np.ndarray, float]:
+def _grid_pass(f: _Integrand, x: np.ndarray, hx: float,
+               start: Optional[Tuple[int, tuple]] = None) -> Tuple[np.ndarray, float]:
     """The fold or zoom route (``_grid_1d_sum``) with its wrap widening, its
     Richardson pass and the analytic frequency tail past the window.
-    Returns (values, complex for a non-symmetric F, and tail_bound)."""
+    ``start`` is (refine, pass) for a widening pass the caller has run
+    already, as ``_invert_1d`` does to price the routes; the widening
+    continues from it.  Returns (values, complex for a non-symmetric F, and
+    tail_bound)."""
     x0 = float(x[0])
     nx = x.size
     Ffun, env, sym, Xi = f.F, f.env, f.sym, f.Xi
     # widen the DFT wrap period until the folded-image (aliasing) level is
     # negligible; heavy-tailed densities need a period far beyond the grid
-    refine = 1
-    while True:
-        p1, (alias_est, p_quarter), d1, M1, fold1 = _grid_1d_sum(
-            Ffun, Xi, x0, hx, nx, sym, refine=refine)
-        if alias_est < 1e-8 or M1 >= (1 << 21):
-            break
-        # predict the wrap period that meets the target from the observed
-        # power-law decay between half and full edge, then jump directly
-        jump = 2
-        if p_quarter > 0.0 and alias_est > 0.0:
-            q = math.log(max(2.0 * p_quarter / alias_est, 1.0 + 1e-12)) / math.log(2.0)
-            if q > 0.1:
-                need = (alias_est / 1e-8) ** (1.0 / q)
-                jump = max(2, 1 << math.ceil(math.log2(need)))
-        while refine * jump > (1 << 21) // (M1 // refine):
-            jump //= 2
-        refine *= max(jump, 2)
+    refine, first = start or (1, _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym))
+    p1, edge, d1, M1, fold1 = first
+    while (wider := _widened(edge, M1, refine)) != refine:
+        refine = wider
+        p1, edge, d1, M1, fold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=refine)
+    alias_est = edge[0]
     # Richardson pass: frequency steps d and d/2 share the x-grid (doubling
     # the DFT length halves the frequency step); truncation edges coincide,
     # so the coarse samples are every other fine sample and are reused
@@ -921,11 +988,25 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
                weight: Optional[Callable] = None) -> DensityField:
     hx = _uniform_step(x)
     f = _integrand_1d(model, t, x, hx, weight)
-    panels = _point_panels(f, float(x[0]), hx, x.size)
-    if panels is not None:
-        p, tail_bound = _point_pass(f, panels, x)
+    x0, nx = float(x[0]), x.size
+    if f.sym and _lattice_shift(x0, hx) is None:
+        # off the DFT lattice only the point route, which needs none, serves
+        p, tail_bound = _point_pass(f, _filon_panels(f.env, 0.0, f.Xi), x)
     else:
-        p, tail_bound = _grid_pass(f, x, hx)
+        # the grid route's first pass predicts the wrap it widens to, and the
+        # point route must beat the grid's pass at that wrap.  A wrap edge
+        # with no decay predicts only a doubling: the grid's next pass, which
+        # it would run anyway, is run before the routes are priced
+        refine, first = 1, _grid_1d_sum(f.F, f.Xi, x0, hx, nx, f.sym)
+        wider = _widened(first[1], first[3], refine)
+        while wider != refine and _decay(first[1]) <= _DECAY_MIN:
+            refine, first = wider, _grid_1d_sum(f.F, f.Xi, x0, hx, nx, f.sym, refine=wider)
+            wider = _widened(first[1], first[3], refine)
+        panels = _point_panels(f, x0, hx, nx, wider)
+        if panels is not None:
+            p, tail_bound = _point_pass(f, panels, x)
+        else:
+            p, tail_bound = _grid_pass(f, x, hx, (refine, first))
     vals = np.real(p)
     residue = float(np.max(np.abs(np.imag(p)))) if p.size else 0.0
     mass = float(np.trapezoid(vals, x))

@@ -67,10 +67,14 @@ class ModelSpec:
         if len(self.drift) != n:
             raise ModelFormatError(
                 f"drift has length {len(self.drift)}, expected {n}", field="drift")
+        if not np.all(np.isfinite(np.asarray(self.drift, dtype=float))):
+            raise ModelFormatError("drift must be finite", field="drift")
         q = np.asarray(self.gaussian, dtype=float)
         if q.shape != (n, n):
             raise ModelFormatError(
                 f"gaussian matrix has shape {q.shape}, expected ({n}, {n})", field="gaussian")
+        if not np.all(np.isfinite(q)):
+            raise ModelFormatError("gaussian matrix must be finite", field="gaussian")
         if not np.allclose(q, q.T, atol=1e-12):
             raise ModelFormatError("gaussian matrix is not symmetric", field="gaussian")
         if q.size and np.min(np.linalg.eigvalsh(q)) < -1e-10:

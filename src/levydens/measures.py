@@ -266,6 +266,10 @@ class AtomSpec:
     def __post_init__(self):
         if (self.radius is None) == (self.point is None):
             raise ModelFormatError("atom needs exactly one of 'radius' or 'point'", field="measure.atoms")
+        coords = [self.mass, self.radius] if self.point is None else [self.mass, *self.point]
+        if not np.all(np.isfinite(np.asarray(coords, dtype=float))):
+            raise ModelFormatError("atom mass, radius and point must be finite",
+                                   field="measure.atoms")
         if self.mass < 0:
             raise ModelFormatError("atom mass must be nonnegative", field="measure.atoms")
         if self.radius is not None and self.radius <= 0:

@@ -120,9 +120,13 @@ def ratio_px_p0(model: ModelSpec, t: float, x) -> float:
         raise RangeError(f"x={x} must be finite")
     if xv == 0.0:
         return 1.0
-    invert = invert_grid if model.dim == 1 else invert_radial
-    f = invert(model, t, np.array([0.0, xv]))
-    return float(f.values[1] / f.values[0])
+    if model.dim > 1:
+        f = invert_radial(model, t, np.array([0.0, xv]))
+        return float(f.values[1] / f.values[0])
+    # the two-node grid runs upward: [0, x], or [x, 0] for x < 0
+    f = invert_grid(model, t, np.array(sorted((0.0, xv))))
+    p0, px = f.values if xv > 0.0 else f.values[::-1]
+    return float(px / p0)
 
 
 def semigroup_ratio(model: ModelSpec, f_nodes: Sequence[float],

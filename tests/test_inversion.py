@@ -681,3 +681,76 @@ def test_filon_panels_keep_the_width_rule():
         assert np.all(w <= 0.3 * edges[:-1] * (1.0 + 1e-12))
         assert np.all(w <= 4.0 / (1.5 * edges[:-1]) * (1.0 + 1e-12))
         assert env(edges[-2:-1])[0] >= 1e-25 > env(edges[-1:])[0]
+
+
+# -- the route chosen after the grid's first pass ------------------------------
+
+def _route_log(monkeypatch):
+    """Spies on ``_grid_1d_sum`` (the refine factor of each pass) and on
+    ``_point_pass`` (the node count of each call)."""
+    log = {"refine": [], "point": []}
+    real_sum, real_point = inversion._grid_1d_sum, inversion._point_pass
+
+    def grid_spy(*args, **kwargs):
+        log["refine"].append(kwargs.get("refine", 1))
+        return real_sum(*args, **kwargs)
+
+    def point_spy(*args):
+        log["point"].append(args[2].size)
+        return real_point(*args)
+    monkeypatch.setattr(inversion, "_grid_1d_sum", grid_spy)
+    monkeypatch.setattr(inversion, "_point_pass", point_spy)
+    return log
+
+
+@pytest.mark.parametrize("model, t, x", [
+    # the corners of the nine-node stable pool: the first pass predicts 2^15
+    (builtin_model("stable", alpha=1.48), 1.0, _nodes(9, 0.7)),
+    (builtin_model("stable", alpha=1.51), 1.0, _nodes(9, 0.92)),
+    # few-node cauchy grids: the first pass predicts 2^21
+    (builtin_model("cauchy"), 1.0, np.arange(-2, 3) * 0.5),
+    (builtin_model("cauchy"), 1.0, np.arange(12) * 0.5),
+])
+def test_predicted_wrap_sends_few_nodes_to_the_point_route(monkeypatch, model, t, x):
+    log = _route_log(monkeypatch)
+    f = invert_grid(model, t, x)
+    assert log == {"refine": [1], "point": [x.size]}
+    if model.name == "cauchy":
+        err = np.max(np.abs(f.values - [closed_form("cauchy", t, v) for v in x]))
+        assert err <= f.tail_bound
+
+
+def test_flat_wrap_edge_runs_the_grids_own_passes_before_pricing(monkeypatch):
+    # stable alpha = 0.3 at t = 10 is wider than every wrap up to 2^11: those
+    # passes show no decay and predict only a doubling, as the grid route
+    # itself would run them; the one at 2^11 predicts 2^21, and the point
+    # route wins.  The grid route was off by 1.2e-8 here
+    log = _route_log(monkeypatch)
+    f = invert_grid(builtin_model("stable", alpha=0.3), 10.0, np.array([0.0, 1.0]))
+    assert log == {"refine": [1, 2, 4, 8], "point": [2]}
+    want = math.gamma(1.0 + 1.0 / 0.3) / (math.pi * 10.0 ** (1.0 / 0.3))
+    assert abs(f.values[0] - want) <= f.tail_bound
+    assert f.values[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_grid_pass_bound_covers_the_41_node_cauchy_grid():
+    # invert_grid sends this grid through the point route; the grid route's
+    # own bound is checked by calling it directly
+    x = (np.arange(41) - 20) * 0.25
+    (pv, pb), (gv, gb) = _point_and_grid(builtin_model("cauchy"), 1.0, x, grid=True)
+    ref = np.array([closed_form("cauchy", 1.0, v) for v in x])
+    assert np.max(np.abs(gv - ref)) <= gb
+    assert np.max(np.abs(pv - ref)) <= pb
+
+
+@pytest.mark.parametrize("x", [np.array([0.3, 1.3]), 0.3 + np.arange(5)])
+def test_off_lattice_grids_do_not_depend_on_the_route(monkeypatch, x):
+    # an origin off the step's lattice has no DFT bins: a symmetric F takes
+    # the point route, which needs none; any other F is refused by field
+    log = _route_log(monkeypatch)
+    f = invert_grid(builtin_model("cauchy"), 1.0, x)
+    assert log == {"refine": [], "point": [x.size]}
+    err = np.max(np.abs(f.values - [closed_form("cauchy", 1.0, v) for v in x]))
+    assert err <= f.tail_bound and err <= 1e-12
+    with pytest.raises(RangeError, match="field 'grid'"):
+        invert_grid(builtin_model("gamma"), 2.0, x)

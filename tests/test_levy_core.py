@@ -243,3 +243,20 @@ def test_modelspec_validation():
     with pytest.raises(ModelFormatError):
         ModelSpec(dim=1, drift=(1.0,), gaussian=((0.0,),), measure=none,
                   isotropic=True)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: AtomSpec(mass=math.nan, radius=1.0), "measure.atoms"),
+    (lambda: AtomSpec(mass=1.0, radius=math.inf), "measure.atoms"),
+    (lambda: AtomSpec(mass=1.0, point=(math.nan,)), "measure.atoms"),
+    (lambda: ModelSpec(dim=1, drift=(math.nan,), gaussian=((2.0,),),
+                       measure=MeasureSpec(variant="none")), "drift"),
+    (lambda: ModelSpec(dim=1, drift=(0.0,), gaussian=((math.inf,),),
+                       measure=MeasureSpec(variant="none")), "gaussian"),
+])
+def test_specs_built_in_python_refuse_non_finite_numbers(build, field):
+    # as model JSON does: NaN or Infinity in any field is a ModelFormatError
+    # naming it, not a model that fails later
+    with pytest.raises(ModelFormatError) as exc_info:
+        build()
+    assert exc_info.value.field == field

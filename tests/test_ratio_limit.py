@@ -169,3 +169,15 @@ def test_ratio_report_ladder():
     assert rep.limits_expected == {"tail_mass": 0.0, "ratio_px_p0": 1.0}
     d = rep.as_dict()
     assert len(d["ratios"]) == 4
+
+
+def test_ratio_px_p0_takes_negative_x_in_dim_1():
+    # the two-node grid runs upward from x to 0: a symmetric law gives the
+    # value at +x, and the drifted gaussian (X_1 ~ N(-1, 2)) its own ratio
+    for name, t in (("cauchy", 1.0), ("sym_gamma", 1.45)):
+        m = builtin_model(name)
+        assert ratio_px_p0(m, t, -1.0) == ratio_px_p0(m, t, 1.0)
+    drifted = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
+    for x in (-1.0, 1.0):
+        want = math.exp(-(x + 1.0) ** 2 / 4.0) / math.exp(-0.25)
+        assert ratio_px_p0(drifted, 1.0, x) == pytest.approx(want, rel=1e-12, abs=0.0)
