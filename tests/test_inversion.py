@@ -685,22 +685,16 @@ def test_filon_panels_keep_the_width_rule():
 
 # -- the route chosen after the grid's first pass ------------------------------
 
-def _route_log(monkeypatch):
-    """Spies on ``_grid_1d_sum`` (the refine factor of each pass) and on
-    ``_point_pass`` (the node count of each call)."""
-    log = {"refine": [], "point": []}
-    real_sum, real_point = inversion._grid_1d_sum, inversion._point_pass
+def _pass_refines(monkeypatch):
+    """Record the refine factor of every ``_grid_1d_sum`` pass."""
+    refines = []
+    real = inversion._grid_1d_sum
 
-    def grid_spy(*args, **kwargs):
-        log["refine"].append(kwargs.get("refine", 1))
-        return real_sum(*args, **kwargs)
-
-    def point_spy(*args):
-        log["point"].append(args[2].size)
-        return real_point(*args)
-    monkeypatch.setattr(inversion, "_grid_1d_sum", grid_spy)
-    monkeypatch.setattr(inversion, "_point_pass", point_spy)
-    return log
+    def spy(*args, **kwargs):
+        refines.append(kwargs.get("refine", 1))
+        return real(*args, **kwargs)
+    monkeypatch.setattr(inversion, "_grid_1d_sum", spy)
+    return refines
 
 
 @pytest.mark.parametrize("model, t, x", [
@@ -712,9 +706,9 @@ def _route_log(monkeypatch):
     (builtin_model("cauchy"), 1.0, np.arange(12) * 0.5),
 ])
 def test_predicted_wrap_sends_few_nodes_to_the_point_route(monkeypatch, model, t, x):
-    log = _route_log(monkeypatch)
+    refines, points = _pass_refines(monkeypatch), _count_point_routes(monkeypatch)
     f = invert_grid(model, t, x)
-    assert log == {"refine": [1], "point": [x.size]}
+    assert refines == [1] and points == [x.size]
     if model.name == "cauchy":
         err = np.max(np.abs(f.values - [closed_form("cauchy", t, v) for v in x]))
         assert err <= f.tail_bound
@@ -725,9 +719,9 @@ def test_flat_wrap_edge_runs_the_grids_own_passes_before_pricing(monkeypatch):
     # passes show no decay and predict only a doubling, as the grid route
     # itself would run them; the one at 2^11 predicts 2^21, and the point
     # route wins.  The grid route was off by 1.2e-8 here
-    log = _route_log(monkeypatch)
+    refines, points = _pass_refines(monkeypatch), _count_point_routes(monkeypatch)
     f = invert_grid(builtin_model("stable", alpha=0.3), 10.0, np.array([0.0, 1.0]))
-    assert log == {"refine": [1, 2, 4, 8], "point": [2]}
+    assert refines == [1, 2, 4, 8] and points == [2]
     want = math.gamma(1.0 + 1.0 / 0.3) / (math.pi * 10.0 ** (1.0 / 0.3))
     assert abs(f.values[0] - want) <= f.tail_bound
     assert f.values[0] == pytest.approx(want, rel=1e-12, abs=0.0)
@@ -747,9 +741,9 @@ def test_grid_pass_bound_covers_the_41_node_cauchy_grid():
 def test_off_lattice_grids_do_not_depend_on_the_route(monkeypatch, x):
     # an origin off the step's lattice has no DFT bins: a symmetric F takes
     # the point route, which needs none; any other F is refused by field
-    log = _route_log(monkeypatch)
+    refines, points = _pass_refines(monkeypatch), _count_point_routes(monkeypatch)
     f = invert_grid(builtin_model("cauchy"), 1.0, x)
-    assert log == {"refine": [], "point": [x.size]}
+    assert refines == [] and points == [x.size]
     err = np.max(np.abs(f.values - [closed_form("cauchy", 1.0, v) for v in x]))
     assert err <= f.tail_bound and err <= 1e-12
     with pytest.raises(RangeError, match="field 'grid'"):
