@@ -30,14 +30,18 @@ class DimensionMismatchError(LevyDensError):
 class QuadratureError(LevyDensError):
     """A quadrature did not reach the requested tolerance.
 
-    ``achieved`` reports the best error estimate obtained.
+    ``achieved`` reports the best error estimate obtained; ``field`` names
+    the input that would have to change for the tolerance to be met.
     """
 
-    def __init__(self, message, achieved=None):
+    def __init__(self, message, achieved=None, field=None):
         if achieved is not None:
             message = f"{message} (achieved tolerance {achieved:.3e})"
+        if field is not None:
+            message = f"{message} (field '{field}')"
         super().__init__(message)
         self.achieved = achieved
+        self.field = field
 
 
 class IntegrabilityRefusal(LevyDensError):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatchError, RangeError, UnsupportedModelError
+from .errors import DimensionMismatchError, QuadratureError, RangeError, UnsupportedModelError
 from .levy_core import ModelSpec, re_psi_profile
 from .inversion import invert_grid, invert_radial, pt_zero
 from .quadrature import _head_integral, _tail_integral
@@ -138,7 +138,11 @@ def semigroup_ratio(model: ModelSpec, f_nodes: Sequence[float],
     trapezoid rule.  T_t f(x) = int p_t(x - y) f(y) dy is evaluated with the
     density from one inversion pass on the shifted grid, the same quadrature
     engine as everywhere else.  The target is (2 pi)^{-n} times the trapezoid
-    integral of f.
+    integral of f.  The density's ``tail_bound`` times the integral of |f|,
+    over the norm, bounds the error of the observed ratio; when that bound
+    is not below |target| the ratio says nothing and ``QuadratureError``
+    naming field ``t`` is raised (the density exists, so this is not a
+    refusal).
     """
     if model.dim != 1:
         raise UnsupportedModelError("sampled-f semigroup ratios are one-dimensional")
@@ -153,6 +157,11 @@ def semigroup_ratio(model: ModelSpec, f_nodes: Sequence[float],
     ttf = float(np.trapezoid(p * fv, y))
     norm = 2.0 * sum(_masses(model, t, 1.0))    # Re psi is even in dim 1
     target = float(np.trapezoid(fv, y)) / (2.0 * math.pi)
+    bound = dens.tail_bound * float(np.trapezoid(np.abs(fv), y)) / norm
+    if bound >= abs(target):
+        raise QuadratureError(
+            f"semigroup ratio at t={t}: its error bound is not below the target "
+            f"{target:.3e}", achieved=bound, field="t")
     return ttf / norm, target
 
 

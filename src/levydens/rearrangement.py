@@ -215,6 +215,16 @@ def _nu_vec(model: ModelSpec, x: np.ndarray) -> np.ndarray:
 
 
 _gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
+# unit panels a pass: the first block reaches y = 49, past the 1e-16 stop of
+# an algebraic nu (y ~ 40) and the earliest divergence refusal (y = 45)
+_UNIT_BLOCK = 48
+_UNIT_BUDGET = 800                 # unit panels before the budget refusal
+
+
+def _built_edge(model: ModelSpec) -> float:
+    """The largest edge of the shells built so far: thresholds below it
+    are counted without building another shell."""
+    return max((sh.edge for sh in model._cache.get("shells", ())), default=-math.inf)
 
 
 def pt0_laplace(model: ModelSpec, t: float) -> float:
@@ -224,39 +234,73 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
     geometric panels near 0 (algebraic behaviour of nu) and unit panels
     beyond; growing panel contributions past y = 40 mean nu outruns the
     exponential factor and the density does not exist at this t.
+
+    The panels are evaluated in array passes: the 48 geometric panels and
+    the head threshold in one, then unit panels in blocks of 48.  The stop,
+    growth and budget rules are applied to the pieces in panel order, and a
+    panel where nu is inf refuses only when the walk reaches it, so the
+    value and any refusal are those of evaluating the panels one at a time.
+    On the counted route a block stops short of the largest shell edge
+    built so far, and a panel past it is evaluated alone, so no shell is
+    built that the walk would not have reached.
     """
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
+    counted = not _radial_monotone_ok(model)
 
-    def integrand(y):
-        nu = _nu_vec(model, y / t)
-        if np.any(np.isinf(nu)):
-            # a threshold the exponent never reaches means nu = +inf there
-            raise IntegrabilityRefusal(
-                f"nu is infinite on the Laplace window at t={t}",
-                diagnostics={"t": t})
-        return nu * np.exp(-y)
+    def nu_inf():
+        # a threshold the exponent never reaches means nu = +inf there
+        return IntegrabilityRefusal(
+            f"nu is infinite on the Laplace window at t={t}", diagnostics={"t": t})
 
-    def panel(a, b):
+    def panels(a, b, extra=()):
+        """GL-16 pieces over the panels [a_i, b_i], a flag where nu is inf
+        on a panel, and nu at the ``extra`` thresholds, from one nu pass."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        return half * float(np.dot(_gl16_w, integrand(mid + half * _gl16_x)))
+        y = mid[:, None] + half[:, None] * _gl16_x
+        nu = _nu_vec(model, np.concatenate(((y / t).ravel(), extra)))
+        nu, rest = nu[:y.size].reshape(y.shape), nu[y.size:]
+        with np.errstate(invalid="ignore"):       # inf * 0 on refused panels
+            rows = nu * np.exp(-y)
+        pieces = [h * float(np.dot(_gl16_w, row)) for h, row in zip(half, rows)]
+        return pieces, np.any(np.isinf(nu), axis=1), rest
 
     total = 0.0
     # geometric panels through the algebraic region y in [1e-12, 1]
     edges = np.geomspace(1e-12, 1.0, 49)
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += panel(a, b)
+    pieces, inf_nu, head = panels(edges[:-1], edges[1:], [1e-12 / t])
+    for piece, refuse in zip(pieces, inf_nu):
+        if refuse:
+            raise nu_inf()
+        total += piece
     # head below 1e-12: nu is monotone, so the piece is at most nu(1e-12/t)*1e-12
-    head_bound = float(_nu_vec(model, np.array([1e-12 / t]))[0]) * 1e-12
+    head_bound = float(head[0]) * 1e-12
     total += 0.5 * head_bound
+
+    def unit_panels():
+        """(piece, nu is inf) for [y, y + 1], y = 1, 2, ..., block by block."""
+        lo = 1.0
+        while True:
+            a = lo + np.arange(min(_UNIT_BLOCK, _UNIT_BUDGET + 1.0 - lo))
+            if counted:
+                # the panels wholly below the built edge, or the next one alone
+                below = (a + 0.5 + 0.5 * _gl16_x[-1]) / t < _built_edge(model)
+                a = a[:max(np.count_nonzero(below), 1)]
+            pieces, inf_nu, _ = panels(a, a + 1.0)
+            yield from zip(pieces, inf_nu)
+            lo += a.size
+
     # unit panels outward with growth monitoring
     y = 1.0
     prev = math.inf
     grow_run = 0
-    for _ in range(800):
-        piece = panel(y, y + 1.0)
+    walk = unit_panels()
+    for _ in range(_UNIT_BUDGET):
+        piece, refuse = next(walk)
+        if refuse:
+            raise nu_inf()
         total += piece
         if piece > prev and y > 40.0:
             grow_run += 1

@@ -51,7 +51,7 @@ def _calls_into(modules, fn, *args):
 
 def _laplace_route(model):
     pt0_laplace(model, 1.0)
-    # the second threshold lies past the exponent table (u up to 1e9), so
+    # the second threshold lies past the exponent table (u up to 1e14), so
     # a quadrature-backed model evaluates it through the engine
     nu_dist(model, np.array([2.0, 3e14]))
 

@@ -10,6 +10,7 @@ from levydens import inversion
 from levydens.errors import (
     DimensionMismatchError,
     IntegrabilityRefusal,
+    QuadratureError,
     RangeError,
     UnsupportedModelError,
 )
@@ -157,6 +158,16 @@ def test_semigroup_ratio_converges():
         semigroup_ratio(builtin_model("gaussian", dim=2), y, f, 1.0)
     with pytest.raises(RangeError):
         semigroup_ratio(builtin_model("gaussian"), y[::-1], f, 1.0)
+
+
+def test_semigroup_ratio_refuses_when_its_bound_swamps_the_target():
+    # stable alpha = 0.5 at t = 1000: the 1601-node density is off by ~25x
+    # with tail_bound 1e-4, so the ratio's bound is ~160 times the target
+    y = np.linspace(-8.0, 8.0, 1601)
+    with pytest.raises(QuadratureError) as exc_info:
+        semigroup_ratio(builtin_model("stable", alpha=0.5), y, np.exp(-y * y), 1000.0)
+    assert exc_info.value.field == "t" and "field 't'" in str(exc_info.value)
+    assert exc_info.value.achieved > 100.0 * math.sqrt(math.pi) / (2.0 * math.pi)
 
 
 def test_ratio_report_ladder():
