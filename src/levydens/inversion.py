@@ -51,18 +51,15 @@ part of tail_bound.  A tail whose decade contributions do not decrease
 marks a non-integrable exponent at this t and raises IntegrabilityRefusal.
 
 On a grid route the frequency tail beyond the window is added back
-analytically, for all nodes of a 1-d grid at once.  A symmetric exponent
-takes the Filon panels of the point route, run from the window's edge
-(``_filon_tail``): the panel edges come from one ladder of envelope samples
-(``_filon_panels``), one envelope call serves every panel's GL points, and
-the spherical Bessel moments of all orders at all (panel, node) pairs come
-from one recurrence pass per block of at most ``_FOLD_CHUNK`` pairs.  Any
-other exponent takes 240 half-period panels per node (``_osc_tail_term``):
-the panel points and exponent samples are built in node blocks of at most
-``_FOLD_CHUNK`` samples, and one decade tail integral and one
-repeated-averaging pass serve every node.  Only x = 0 and the few nodes
-with a slow phase near it go one by one.  The GL panels, the accelerator
-and the tail integral are those of ``quadrature``.
+analytically, for all nonzero nodes of a 1-d grid at once, by the Filon
+panels of the point route run from the window's edge (``_filon_tail``):
+the panel edges come from one ladder of envelope samples
+(``_filon_panels``), one call of F serves every panel's GL points, and the
+spherical Bessel moments of all orders at all (panel, node) pairs come from
+one recurrence pass per block of at most ``_FOLD_CHUNK`` pairs.  A complex
+F (a one-sided part, point atoms, drift) takes the same panels, with Re F
+and Im F expanded alike.  The node x = 0 takes decade pieces
+(``_tail_at_zero``), those of ``quadrature``.
 
 The 2-d lattice (``_lattice_sum_2d``) sums a radial F on a square frequency
 lattice as a product of two cosine matrices around the samples.  F(|xi|)
@@ -96,6 +93,7 @@ from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
     _accelerated,
+    _decade_piece,
     _gl12_w,
     _gl12_x,
     _gl16_w,
@@ -711,20 +709,23 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
     return j
 
 
-def _filon_tail(env, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _FilonBound]:
-    """(1/pi) int_{u_0}^inf env(u) cos(x u) du for an array of x, over the
-    ``panels`` from u_0 = edges[0]; for a run from the origin the head
-    [0, u_0] is added, so the integral starts at 0.
+def _filon_tail(F, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _FilonBound]:
+    """(1/pi) Re int_{u_0}^inf F(u) e^{-i x u} du for an array of x, over
+    the ``panels`` from u_0 = edges[0]; for a run from the origin the head
+    [0, u_0] is added, so the integral starts at 0.  F is real and even, or
+    complex with F(-u) = conj F(u); either way this is the two-sided tail
+    (1/2pi) int_{|u| > u_0} F(u) e^{-i x u} du.
 
-    The envelope is expanded in Legendre polynomials on each panel and
+    Re F and Im F are expanded in Legendre polynomials on each panel and
     integrated against the exact oscillatory moments
     int_{-1}^{1} P_k(tau) e^{-i s tau} d tau = 2 (-i)^k j_k(s), so the
-    accuracy is uniform in x.  One envelope call serves every panel's GL-16
-    points and the points of the remainder; the moments of all K orders at
-    all (panel, node) pairs come from ``_spherical_jn_orders``, in blocks of
+    accuracy is uniform in x.  One F call serves every panel's GL-16 points
+    and the points of the remainder; the moments of all K orders at all
+    (panel, node) pairs come from ``_spherical_jn_orders``, in blocks of
     whole panels holding at most ``_FOLD_CHUNK`` pairs, or one panel when
     its nodes alone exceed that.  The remainder beyond the last panel is the
-    leading integration-by-parts term.  Returns (values, bound parts).
+    leading integration-by-parts term, Re F(U) e^{-i x U} / (i x), and its
+    bound takes |F| and |F'|.  Returns (values, bound parts).
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
@@ -733,14 +734,18 @@ def _filon_tail(env, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _
     h = 0.5 * np.diff(edges)
     U = float(edges[-1])
     dU = 1e-3 * U
-    ev = env(np.concatenate(((c[:, None] + h[:, None] * _gl16_x).reshape(-1),
-                             [U - dU, U, U + dU, edges[0]])))
+    ev = F(np.concatenate(((c[:, None] + h[:, None] * _gl16_x).reshape(-1),
+                           [U - dU, U, U + dU, edges[0]])))
+    cplx = np.iscomplexobj(ev)
     a = ev[:-4].reshape(-1, _gl16_x.size) @ _filon_proj.T      # (P, K)
-    # Re e^{-i x c} h sum_k a_k 2 (-i)^k j_k(x h) = h (A cos(x c) - B sin(x c))
+    # e^{-i x c} h sum_k a_k 2 (-i sign x)^k j_k(|x| h), with A and B the
+    # even and odd sums: Re of it is h (A cos(|x| c) - B sin(|x| c)) for a
+    # real F, plus h sign(x) (Im B cos(|x| c) + Im A sin(|x| c)) for Im F
     k = np.arange(_filon_K)
     sgn = np.where(k % 4 < 2, 2.0, -2.0)
     ca = (sgn * a)[:, 0::2]
     cb = (sgn * a)[:, 1::2]
+    sx = np.sign(x)
     out = np.zeros_like(x)
     per = max(1, _FOLD_CHUNK // x.size)
     for b in range(0, h.size, per):
@@ -750,11 +755,21 @@ def _filon_tail(env, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _
         A = np.einsum("pk,kpn->pn", ca[blk], jn[0::2])
         B = np.einsum("pk,kpn->pn", cb[blk], jn[1::2])
         phase = c[blk, None] * ax
-        out += np.sum(h[blk, None] * (A * np.cos(phase) - B * np.sin(phase)), axis=0)
-    envU = float(ev[-3])
+        if not cplx:
+            out += np.sum(h[blk, None] * (A * np.cos(phase) - B * np.sin(phase)), axis=0)
+            continue
+        cos, sin = np.cos(phase), np.sin(phase)
+        # panel by panel, so that no node's sum depends on the other nodes
+        for row in h[blk, None] * (A.real * cos - B.real * sin
+                                   + sx * (B.imag * cos + A.imag * sin)):
+            out += row
+    FU = ev[-3]
+    envU = float(abs(FU))
     # leading integration-by-parts term for the remainder past the panels
-    out -= envU * np.sin(ax * U) / np.maximum(ax, 1e-300)
-    envp = abs(float(ev[-2]) - float(ev[-4])) / (2.0 * dU)
+    out -= FU.real * np.sin(ax * U) / np.maximum(ax, 1e-300)
+    if cplx:
+        out += sx * FU.imag * np.cos(ax * U) / np.maximum(ax, 1e-300)
+    envp = float(abs(ev[-2] - ev[-4])) / (2.0 * dU)
     x_min = float(np.min(ax))
     rem = 3.0 * envU * U
     if x_min > 0.0:
@@ -768,96 +783,6 @@ def _filon_tail(env, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _
     rnd = _EPS * mag * math.log2(edges.size * _filon_K)
     return out / math.pi, _FilonBound(proj / math.pi, rem / math.pi,
                                       head / math.pi, rnd / math.pi)
-
-
-_OSC_PANELS = 240     # half-period panels of an oscillatory tail, per node or radius
-
-
-def _osc_tail_term(Ffun_c, env, Xi, x: np.ndarray,
-                   sym: bool) -> Tuple[np.ndarray, np.ndarray]:
-    """(1/pi) int_Xi^inf F(xi) e^{-i x xi} d xi for each node of the 1-d
-    array x, by half-period panels.
-
-    The nodes with |x| Xi >= 0.5 go through the panels together: their
-    panel points are built and F is evaluated in node blocks of at most
-    ``_FOLD_CHUNK`` samples, then one ``_tail_integral`` over all the panel
-    ends tells which nodes have exhausted the envelope (plain sum) and one
-    ``_accelerated`` pass averages the partial sums of every node.  The rest
-    go one by one: at x = 0 (one node of a uniform grid) a symmetric F gives
-    the plain tail integral of the envelope; a slow-phase node (|x| Xi <
-    0.5) marches in decades out to u = 0.5 / |x| and joins the panels from
-    there, and x = 0 of a non-symmetric F marches for good, with what the
-    envelope leaves past its last decade as the error.  Returns (values,
-    error estimates), one per node."""
-    x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    val = np.zeros(x.size, dtype=complex)
-    err = np.zeros(x.size)
-    start = np.full(x.size, float(Xi))     # where each node's panels begin
-    extra = np.zeros(x.size, dtype=complex)
-    panels = ax * Xi >= 0.5
-    for j in np.flatnonzero(~panels):
-        xj = float(x[j])
-        if xj == 0.0 and sym:
-            tail = _tail_integral(env, 1, Xi)
-            val[j], err[j] = complex(tail / math.pi), 1e-8 * tail
-            continue
-        # phase is slow out to u ~ 1/|x|: march in decades with the phase
-        # factor treated as a smooth function, then hand over to half-period
-        # panels once the oscillation sets in
-        u_hand = 0.5 / abs(xj) if xj != 0.0 else math.inf
-        u = Xi
-        head = 0.0 + 0.0j
-        exhausted = False
-        for _ in range(32):
-            u_next = min(10.0 * u, u_hand)
-            la, lb = math.log(u), math.log(u_next)
-            edges_l = np.linspace(la, lb, 4)
-            mid = 0.5 * (edges_l[:-1] + edges_l[1:])
-            half = 0.5 * np.diff(edges_l)
-            pts = np.exp(mid[:, None] + half[:, None] * _gl16_x[None, :])
-            fv = (Ffun_c(pts.reshape(-1)).reshape(pts.shape)
-                  * np.exp(-1j * xj * pts) * pts)
-            head += complex(np.sum(half[:, None] * _gl16_w[None, :] * fv))
-            u = u_next
-            if u >= u_hand - 1e-12:
-                break
-            rest = _tail_integral(env, 1, u)
-            exhausted = rest < 1e-16
-            if exhausted:
-                break
-        if exhausted:
-            val[j], err[j] = head / math.pi, 1e-12
-        elif xj == 0.0:
-            val[j], err[j] = head / math.pi, rest / math.pi
-        else:
-            start[j], extra[j], panels[j] = u, head, True
-    sel = np.flatnonzero(panels)
-    if not sel.size:
-        return val, err
-    step = math.pi / ax[sel]
-    terms = np.empty((sel.size, _OSC_PANELS), dtype=complex)
-    per = max(1, _FOLD_CHUNK // (_OSC_PANELS * _gl12_x.size))
-    for a in range(0, sel.size, per):
-        blk = sel[a:a + per]
-        st = step[a:a + per, None]
-        edges = start[blk, None] + st * np.arange(_OSC_PANELS + 1)
-        mids = 0.5 * (edges[:, :-1] + edges[:, 1:])
-        pts = mids[..., None] + (0.5 * st)[..., None] * _gl12_x
-        fv = Ffun_c(pts.reshape(-1)).reshape(pts.shape)
-        terms[a:a + per] = 0.5 * st * np.sum(
-            _gl12_w * fv * np.exp(-1j * x[blk, None, None] * pts), axis=-1)
-    leftover = _tail_integral(env, 1, start[sel] + step * float(_OSC_PANELS))
-    # envelope exhausted inside the panel range: plain sum is exact
-    plain = leftover < 1e-15
-    sums = np.sum(terms, axis=-1)
-    re, ere = _accelerated(terms.real)
-    im, eim = _accelerated(terms.imag)
-    val.real[sel] = (extra.real[sel] + np.where(plain, sums.real, re)) / math.pi
-    val.imag[sel] = (extra.imag[sel] + np.where(plain, sums.imag, im)) / math.pi
-    err[sel] = np.where(plain, (1e-14 * np.sum(np.abs(terms), axis=-1) + leftover) / math.pi,
-                        (ere + eim) / math.pi)
-    return val, err
 
 
 class _Integrand(NamedTuple):
@@ -932,6 +857,32 @@ def _point_pass(f: _Integrand, panels: _FilonPanels,
     return vals, sum(bound)
 
 
+def _tail_at_zero(f: _Integrand, Xi: float) -> Tuple[float, float]:
+    """(1/pi) Re int_Xi^inf F(u) du, the tail at the node x = 0, and its
+    error.  A symmetric F takes the envelope's decade tail integral.  Any
+    other F sums GL-16 decade pieces of Re F from Xi, in one call, up to the
+    first decade end past which the envelope's tail is under 1e-16 (error
+    1e-12), or over all 32 decades (error: the tail past them).  The ends'
+    tails are taken in blocks of 1, 2, 4, ... ends, so a fast envelope is
+    not sampled decades past its stop."""
+    if f.sym:
+        tail = _tail_integral(f.env, 1, Xi)
+        return tail / math.pi, 1e-8 * tail
+    lo = Xi * 10.0 ** np.arange(32)
+    a, size = 0, 1
+    while a < lo.size:
+        rest = _tail_integral(f.env, 1, 10.0 * lo[a:a + size])
+        done = np.flatnonzero(rest < 1e-16)
+        if done.size:
+            lo, err = lo[:a + done[0] + 1], 1e-12
+            break
+        a, size = a + size, 2 * size
+    else:
+        err = float(rest[-1]) / math.pi
+    head = float(np.sum(_decade_piece(lambda u: f.F(u).real, 1, lo)))
+    return head / math.pi, err
+
+
 def _grid_pass(f: _Integrand, x: np.ndarray, hx: float,
                start: Optional[Tuple[int, tuple]] = None) -> Tuple[np.ndarray, float]:
     """The fold or zoom route (``_grid_1d_sum``) with its wrap widening, its
@@ -960,21 +911,16 @@ def _grid_pass(f: _Integrand, x: np.ndarray, hx: float,
     p = (4.0 * p2 - p1) / 3.0
     rounding = (4.0 * fold2[2] + fold1[2]) / 3.0
 
-    # analytic continuation of the truncated frequency tail
-    corr_err = 0.0
+    # analytic continuation of the truncated frequency tail: the two
+    # half-axes pair into Re of the one-sided integral, which the Filon
+    # panels evaluate for every nonzero grid node at once
     corr = np.zeros(nx)
-    osc = np.ones(nx, dtype=bool)
-    if sym:
-        # the two half-axes pair into Re of the one-sided integral; the
-        # Filon route evaluates it for every nonzero grid node at once
-        osc = x == 0.0
-        if not np.all(osc):
-            corr[~osc], ce = _filon_tail(env, _filon_panels(env, Xi_eff, Xi_eff), x[~osc])
-            corr_err = max(corr_err, sum(ce))
-    if np.any(osc):
-        c, e = _osc_tail_term(Ffun, env, Xi_eff, x[osc], sym)
-        corr[osc] = c.real
-        corr_err = max([corr_err, *e.tolist()])
+    zero = x == 0.0
+    corr[~zero], ce = _filon_tail(Ffun, _filon_panels(env, Xi_eff, Xi_eff), x[~zero])
+    corr_err = sum(ce)
+    if np.any(zero):
+        corr[zero], e = _tail_at_zero(f, Xi_eff)
+        corr_err = max(corr_err, e)
     p = p + corr
 
     # the sums sit at x = (x0 / hx + i) hx, which misses x[i] by the rounding
@@ -1149,6 +1095,9 @@ def invert_grid(model: ModelSpec, t: float, grid) -> DensityField:
 
 
 # -- radial route ---------------------------------------------------------
+
+
+_OSC_PANELS = 240     # half-period panels of the oscillatory tail, per radius
 
 
 def pt_zero(model: ModelSpec, t: float) -> float:

@@ -470,6 +470,23 @@ def quadratic_majorant(model: ModelSpec, R: float) -> Tuple[float, float]:
 
 # -- built-in models ------------------------------------------------------
 
+def _log1p_sq(u) -> np.ndarray:
+    """log(1 + u^2) with no overflow: log1p(u^2) up to |u| = 1e150, and
+    2 log|u| past it, where the two agree to rounding (u^2 overflows near
+    1.34e154)."""
+    u = np.asarray(u, float)
+    if u.size and np.abs(u).max() > 1e150:
+        big = np.abs(u) > 1e150
+        return np.where(big, 2.0 * np.log(np.where(big, np.abs(u), 1.0)),
+                        np.log1p(np.where(big, 0.0, u) ** 2))
+    return np.log1p(u ** 2)
+
+
+def _log1p_sq_scalar(xi: float) -> float:
+    """``_log1p_sq`` for one float, by libm."""
+    return math.log1p(xi * xi) if abs(xi) <= 1e150 else 2.0 * math.log(abs(xi))
+
+
 def _atoms_dyadic(masses) -> MeasureSpec:
     atoms = tuple(
         AtomSpec(mass=float(b), radius=2.0 ** (-j))
@@ -534,18 +551,17 @@ def builtin_model(name: str, **params) -> ModelSpec:
         meas = MeasureSpec(variant="family", family="gamma_type", onesided=True)
         return ModelSpec(
             1, (-GAMMA_COMPENSATOR,), ((0.0,),), meas, isotropic=False, name="gamma",
-            g_exact=lambda u: 0.5 * np.log1p(np.asarray(u, float) ** 2),
-            psi_exact=lambda xi: complex(0.5 * math.log1p(xi * xi), -math.atan(xi)),
-            psi_exact_vec=lambda xi: 0.5 * np.log1p(np.asarray(xi, float) ** 2)
-            - 1j * np.arctan(np.asarray(xi, float)))
+            g_exact=lambda u: 0.5 * _log1p_sq(u),
+            psi_exact=lambda xi: complex(0.5 * _log1p_sq_scalar(xi), -math.atan(xi)),
+            psi_exact_vec=lambda xi: 0.5 * _log1p_sq(xi) - 1j * np.arctan(np.asarray(xi, float)))
     if name == "sym_gamma":
         _reject_extra(name, params)
         if n != 1:
             raise ModelFormatError("sym_gamma builtin is one-dimensional", field="dim")
         meas = MeasureSpec(variant="family", family="gamma_type")
         return ModelSpec(1, (0.0,), ((0.0,),), meas, isotropic=True, name="sym_gamma",
-                         g_exact=lambda u: np.log1p(np.asarray(u, float) ** 2),
-                         psi_exact=lambda xi: complex(math.log1p(xi * xi)))
+                         g_exact=_log1p_sq,
+                         psi_exact=lambda xi: complex(_log1p_sq_scalar(xi)))
     if name == "exa2_logkernel":
         _reject_extra(name, params)
         if n != 1:

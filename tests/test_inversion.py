@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import integrate
 from scipy import special as sp
 
 from levydens.errors import (
@@ -17,14 +18,14 @@ from levydens.errors import (
 from levydens import inversion
 from levydens.inversion import (
     _FOLD_CHUNK,
-    _OSC_PANELS,
     _Zoom,
     _ZoomSums,
     _accelerated,
+    _filon_panels,
+    _filon_tail,
     _fold_frequency,
     _grid_1d_sum,
     _lattice_sum_2d,
-    _osc_tail_term,
     _spherical_jn_orders,
     _tail_integral,
     _wrap_edge,
@@ -442,30 +443,37 @@ def test_spherical_jn_orders_match_scipy():
         np.testing.assert_allclose(got[order], sp.spherical_jn(order, s), rtol=0, atol=1e-15)
 
 
-def _tail_setup(name, t):
-    """(Ffun_c, env, sym) as ``_invert_1d`` builds them."""
-    model = builtin_model(name)
-    profile = re_psi_profile(model, 1e9)
-    env = lambda u: np.exp(-t * profile(np.abs(u)))
-    if model.psi_exact_vec is None:
-        return env, env, True
-    F = lambda xi: np.exp(-t * model.psi_exact_vec(xi.reshape(-1))).reshape(xi.shape)
-    return F, env, False
-
-
-@pytest.mark.parametrize("name, t", [("gamma", 6.0), ("gamma", 1.95), ("exa4_atoms", 1.0)])
-def test_osc_tail_batch_matches_single_nodes(name, t):
-    # x = 0, two slow-phase nodes (|x| Xi < 0.5) and negative x, more nodes
-    # than one block of F samples holds; at t = 6 the small |x| exhaust the
-    # envelope inside the panels (plain sums) and the large |x| do not
+@pytest.mark.parametrize("t", [1.95, 6.0])
+def test_complex_filon_tail_matches_qawf(t):
+    # (1/pi) Re int_Xi^inf F(u) e^{-i x u} du for the one-sided gamma F
+    # against QUADPACK's Fourier integral on [Xi, inf) (scipy's QAWF), the
+    # cosine transform of Re F plus sign(x) times the sine transform of Im F
+    model = builtin_model("gamma")
+    F = lambda u: np.exp(-t * model.psi_exact_vec(u))
     Xi = 5.0
-    x = np.concatenate(([0.0, 0.05, -0.08], np.linspace(-6.0, 6.0, 48)))
-    assert x.size > _FOLD_CHUNK // (_OSC_PANELS * 12)
-    F, env, sym = _tail_setup(name, t)
-    val, err = _osc_tail_term(F, env, Xi, x, sym)
-    single = [_osc_tail_term(F, env, Xi, x[j:j + 1], sym) for j in range(x.size)]
-    assert np.array_equal(val, np.concatenate([v for v, _ in single]))
-    assert np.array_equal(err, np.concatenate([e for _, e in single]))
+    panels = _filon_panels(lambda u: np.abs(F(u)), Xi, Xi)
+    x = np.array([0.05, -0.08, 0.7, -2.5, 6.0])
+    vals, bound = _filon_tail(F, panels, x)
+    for xv, got in zip(x, vals):
+        c, ec = integrate.quad(lambda u: F(np.array([u]))[0].real, Xi, np.inf,
+                               weight="cos", wvar=abs(xv))
+        s, es = integrate.quad(lambda u: F(np.array([u]))[0].imag, Xi, np.inf,
+                               weight="sin", wvar=abs(xv))
+        assert abs(got - (c + np.sign(xv) * s) / math.pi) <= sum(bound) + (ec + es) / math.pi
+    # panels cut near u = 100, where F is far from spent: the remainder's
+    # integration-by-parts term Re F(U) e^{-i x U} / (i x) and its bound
+    # carry the rest, at the nodes with |x| U >> 1
+    far = np.abs(x) > 1.0
+    cut = inversion._FilonPanels(panels.edges[:np.searchsorted(panels.edges, 100.0) + 1], None)
+    got, cut_bound = _filon_tail(F, cut, x[far])
+    assert np.all(np.abs(got - vals[far]) <= sum(cut_bound) + sum(bound))
+    # a many-node call, whose panels run in several blocks, equals the
+    # single-node calls bit for bit
+    many = np.concatenate((x, np.linspace(-6.0, 6.0, 2401)))
+    assert many.size * (panels.edges.size - 1) > _FOLD_CHUNK
+    got, _ = _filon_tail(F, panels, many)
+    for j in [*range(x.size), *range(x.size, many.size, 100)]:
+        assert got[j] == _filon_tail(F, panels, many[j:j + 1])[0][0]
 
 
 @pytest.mark.parametrize("t, x", [
@@ -509,8 +517,8 @@ def test_accelerated_rows_match_single_rows():
 
 
 def test_gamma_grid_exponent_passes():
-    # the 381-node gamma grid evaluates the exponent in node blocks, not once
-    # per node (384 calls), at the same 1,181,616 points
+    # the 381-node gamma grid evaluates the exponent in a few array passes,
+    # not once per node (384 calls), at 85,716 points
     model = builtin_model("gamma")
     seen = {"calls": 0, "points": 0}
     exact = model.psi_exact_vec
@@ -522,7 +530,7 @@ def test_gamma_grid_exponent_passes():
     model = dataclasses.replace(model, psi_exact_vec=counted)
     invert_grid(model, 1.95, 0.25 + np.arange(381) * 0.0125)
     assert seen["calls"] <= 32
-    assert seen["points"] == 1_181_616
+    assert seen["points"] == 85_716
 
 
 def test_drifted_gaussian_keeps_its_gaussian_part():
@@ -535,6 +543,18 @@ def test_drifted_gaussian_keeps_its_gaussian_part():
     f = invert_grid(m, 1.0, x)
     err = float(np.max(np.abs(f.values - np.exp(-(x + 1.0) ** 2 / 4.0) / math.sqrt(4.0 * math.pi))))
     assert err <= f.tail_bound and err <= 1e-12
+
+
+def test_drifted_cauchy_error_within_tail_bound():
+    # psi = i b xi + |xi|: X_t is cauchy shifted by -t b, so with drift 10
+    # the mass sits at the grid's left end and the slowly decaying complex
+    # F leaves much of the answer in the frequency tail past the window
+    b, t = 10.0, 1.0
+    m = dataclasses.replace(builtin_model("cauchy"), drift=(b,), isotropic=False)
+    x = (np.arange(81) - 40) * 0.25
+    f = invert_grid(m, t, x)
+    ref = np.array([closed_form("cauchy", t, v + t * b) for v in x])
+    assert float(np.max(np.abs(f.values - ref))) <= f.tail_bound
 
 
 def test_non_symmetric_exponent_is_vectorised(monkeypatch):

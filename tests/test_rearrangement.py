@@ -155,6 +155,33 @@ def test_laplace_route_refuses_below_threshold():
         pt0_laplace(m, -1.0)
 
 
+@pytest.mark.parametrize("t", [0.5, 0.500001])
+def test_laplace_route_refuses_at_the_threshold(t):
+    # (1 + xi^2)^(-t) is not integrable at t = 1/2, and at t just above it
+    # the answer (~1.6e5) needs thresholds past log(1 + u^2) ~ 709.8, where
+    # u^2 overflows; an overflowing exponent stopped nu growing there, and
+    # the route returned ~113 for both
+    with pytest.raises(IntegrabilityRefusal):
+        pt0_laplace(builtin_model("sym_gamma"), t)
+
+
+def test_laplace_route_keeps_sym_gamma_above_the_threshold():
+    assert pt0_laplace(builtin_model("sym_gamma"), 0.55) == 3.3985070133265243
+
+
+def test_log1p_sq_does_not_overflow():
+    u = np.concatenate((np.geomspace(1e-300, 1e150, 2001), [0.0]))
+    with np.errstate(over="ignore"):
+        assert np.array_equal(levy_core._log1p_sq(-u), np.log1p(u ** 2))
+    big = np.array([2e150, 1.34e154, 1e200, 1e300])
+    np.testing.assert_allclose(levy_core._log1p_sq(big), 2.0 * np.log(big), rtol=1e-15)
+    for name in ("gamma", "sym_gamma"):
+        m = builtin_model(name)
+        assert np.isfinite(m.g_exact(np.array([1e200]))).all()
+        assert math.isfinite(m.psi_exact(-1e200).real)
+    assert np.isfinite(builtin_model("gamma").psi_exact_vec(np.array([1e200]))).all()
+
+
 def test_grid_count_route_is_sane():
     # non-monotone exponent goes through the counted route; the measure is
     # nonnegative and nondecreasing in the threshold (inf allowed: the
