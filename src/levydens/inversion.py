@@ -92,6 +92,7 @@ from .errors import (
 from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
+    _OSC_PANELS,
     _accelerated,
     _decade_piece,
     _gl12_w,
@@ -99,7 +100,7 @@ from .quadrature import (
     _gl16_w,
     _gl16_x,
     _head_integral,
-    _panel_sum,
+    _panel_terms,
     _tail_integral,
 )
 from . import specfun
@@ -1097,9 +1098,6 @@ def invert_grid(model: ModelSpec, t: float, grid) -> DensityField:
 # -- radial route ---------------------------------------------------------
 
 
-_OSC_PANELS = 240     # half-period panels of the oscillatory tail, per radius
-
-
 def pt_zero(model: ModelSpec, t: float) -> float:
     """p_t(0) = (2 pi)^{-n} int e^{-t Re psi(xi)} d xi for radial-exponent models."""
     if not 0.0 < t < math.inf:
@@ -1122,8 +1120,12 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     """p_t(|x|) for isotropic models in any dimension via the radial formula.
 
     p_t(r) = (2 pi)^{-n} omega_{n-1} int_0^inf e^{-t g(u^2)} u^{n-1}
-             H_{(n-2)/2}(u r) du, with half-period oscillatory panels and
-    series acceleration for slowly decaying envelopes.
+             H_{(n-2)/2}(u r) du, over 64 geometric GL-16 panels up to
+    min(1, 30/r), GL-16 panels of width min(pi/(2r), max(u/4, 1e-3)) up to
+    30/r, then half-period GL-12 panels summed plainly where the envelope
+    tail falls under 1e-16, else series-accelerated over 240 of them.  Each
+    of the three stretches lays out its panels first and evaluates them with
+    one integrand call, so a nonzero radius makes at most three.
     """
     if not model.isotropic:
         raise UnsupportedModelError("invert_radial needs an isotropic model")
@@ -1151,21 +1153,24 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         u_knee = min(1.0, 30.0 / r)
         edges = np.geomspace(1e-9, u_knee, 64)
         total = env(np.array([5e-10]))[0] * 1e-9 ** n / n   # [0, 1e-9] head
-        total += _panel_sum(f, edges, _gl16_x, _gl16_w)
+        total += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
         u_big = 30.0 / r
         if u_big > u_knee:
             # panel width capped both by the kernel half-period and by a
-            # geometric-growth rule that keeps the envelope resolved
+            # geometric-growth rule that keeps the envelope resolved; the
+            # march stops at the first edge where the envelope falls under
+            # 1e-22 of the running total
             half_period = 0.5 * math.pi / r
-            u = u_knee
-            while u < u_big:
-                du = min(half_period, max(0.25 * u, 1e-3))
-                u_next = min(u + du, u_big)
-                total += _panel_sum(f, np.array([u, u_next]), _gl16_x, _gl16_w)
-                u = u_next
-                if env(np.array([u]))[0] * u ** (n - 1) < 1e-22 * abs(total):
-                    break
-            u_big = u
+            edges = [u_knee]
+            while edges[-1] < u_big:
+                du = min(half_period, max(0.25 * edges[-1], 1e-3))
+                edges.append(min(edges[-1] + du, u_big))
+            edges = np.array(edges)
+            running = np.cumsum(np.concatenate(
+                ([total], _panel_terms(f, edges, _gl16_x, _gl16_w))))[1:]
+            small = env(edges[1:]) * edges[1:] ** (n - 1) < 1e-22 * np.abs(running)
+            k = int(np.argmax(small)) if np.any(small) else running.size - 1
+            total, u_big = float(running[k]), float(edges[k + 1])
         # oscillatory tail in half periods of the Bessel kernel, summed
         # plainly up to the first panel end whose envelope tail is under
         # 1e-16, else accelerated over all the panels; the ends' tails are
@@ -1185,12 +1190,11 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
                     stop, tail_est = k, left
                     break
             lo, size = lo + size, 2 * size
-        terms = [_panel_sum(f, ends[k:k + 2], _gl12_x, _gl12_w)
-                 for k in range(stop or _OSC_PANELS)]
+        terms = _panel_terms(f, ends[:(stop or _OSC_PANELS) + 1], _gl12_x, _gl12_w)
         if stop is not None:
             total += math.fsum(terms)
         else:
-            acc, tail_est = _accelerated(np.asarray(terms))
+            acc, tail_est = _accelerated(terms)
             total += acc
         vals[i] = pref * total
         worst_tail = max(worst_tail, pref * tail_est)

@@ -388,24 +388,27 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     the exponent stays below x out to u = e^700, and at x = +inf.
 
     Roots range over hundreds of e-folds near the integrability threshold,
-    so all thresholds bisect together in v = ln u on the exponent table."""
+    so all thresholds bisect together in v = ln u on the exponent table.
+    The bracket walks evaluate the exponent only at the thresholds still
+    walking."""
     fn = re_psi_profile(model)
     step = math.log(8.0)
     # u^2 and the like overflow to inf far out, which is still an upper bracket
     with np.errstate(over="ignore"):
         v_hi = np.zeros_like(x)
-        while True:
-            short = fn(np.exp(v_hi)) < x
-            grow = short & (v_hi <= _LOG_RADIUS_MAX)
-            if not np.any(grow):
-                break
-            v_hi = np.where(grow, v_hi + step, v_hi)
+        short = np.empty(x.shape, dtype=bool)
+        walk = np.arange(x.size)
+        while walk.size:
+            short[walk] = fn(np.exp(v_hi[walk])) < x[walk]
+            walk = walk[short[walk] & (v_hi[walk] <= _LOG_RADIUS_MAX)]
+            v_hi[walk] += step
         v_lo = v_hi - step
+        walk = np.arange(x.size)
         for _ in range(80):
-            shrink = fn(np.exp(v_lo)) >= x
-            if not np.any(shrink):
+            walk = walk[fn(np.exp(v_lo[walk])) >= x[walk]]
+            if not walk.size:
                 break
-            v_lo = np.where(shrink, v_lo - step, v_lo)
+            v_lo[walk] -= step
             if np.min(v_lo) < -200.0:
                 break
         for _ in range(60):

@@ -3,9 +3,9 @@ the Fourier side: grid and radial inversion, the radial exponent engine
 and the ratio-limit masses.  The Laplace route (``pt0_laplace``) keeps its
 own panels, so that its p_t(0) stays a separate computation.
 
-``_panel_integral`` sums one panel as a scalar: the panel marches call it
-far more often than anything else here, and a 2-edge ``_panel_sum`` call
-costs over twice as much.
+``_panel_terms`` is the one Gauss-Legendre panel function: a caller lays
+out all its panel edges first and integrates them with one call of the
+integrand.
 """
 
 from __future__ import annotations
@@ -17,23 +17,19 @@ import numpy as np
 
 _gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
 _gl12_x, _gl12_w = np.polynomial.legendre.leggauss(12)
+_OSC_PANELS = 240     # oscillatory panels of a radial tail before acceleration
 
 
-def _panel_integral(f, a: float, b: float, x: np.ndarray, w: np.ndarray) -> float:
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    return half * float(np.dot(w, f(mid + half * x)))
-
-
-def _panel_sum(f, edges, gx, gw) -> float:
-    """Sum of GL panel integrals over consecutive edges, vectorized."""
+def _panel_terms(f, edges: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
+    """GL integrals of f over the panels between consecutive edges, from one
+    call of f on all their nodes."""
     a = edges[:-1]
     b = edges[1:]
     mid = 0.5 * (a + b)
     half = 0.5 * (b - a)
     pts = mid[:, None] + half[:, None] * gx[None, :]
     vals = f(pts.reshape(-1)).reshape(pts.shape)
-    return float(np.sum(half * (vals @ gw)))
+    return half * (vals @ gw)
 
 
 def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,7 @@ int cos(s x) (1-x^2)^{(n-3)/2} dx.  The integral is split into three regions:
   * oscillatory tail : 1 - A_n = tail mass minus an oscillatory integral,
     summed over pi-length panels with repeated-averaging acceleration.
 
-The panel sums and the accelerator are those of ``quadrature``.
+The panel integrals and the accelerator are those of ``quadrature``.
 
 Kernel evaluation here is independent of the Bessel routines in specfun, so
 exponent values obtained through this engine and through the one-dimensional
@@ -32,18 +32,17 @@ from scipy import special as _sp
 from .errors import QuadratureError
 from .measures import RadialProfile
 from .quadrature import (
+    _OSC_PANELS,
     _accelerated,
     _gl12_w,
     _gl12_x,
     _gl16_w,
     _gl16_x,
-    _panel_integral,
-    _panel_sum,
+    _panel_terms,
 )
 
 _S_TAYLOR = 1e-3
 _S_BIG = 30.0
-_MAX_TAIL_PANELS = 240
 
 # direction-average quadrature nodes per dimension (n >= 2, n != 3)
 _kernel_nodes: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -146,12 +145,12 @@ class RadialQuadEngine:
                 decades = math.log10(r_knee / r0)
                 k = max(2, int(math.ceil(8.0 * decades)))
                 edges = np.geomspace(r0, r_knee, k + 1)
-                mid += _panel_sum(f, edges, _gl16_x, _gl16_w)
+                mid += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
             if r_mid_hi > r_knee * (1.0 + 1e-14):
                 step = 0.5 * math.pi / u
                 k = max(1, int(math.ceil((r_mid_hi - r_knee) / step)))
                 edges = np.linspace(r_knee, r_mid_hi, k + 1)
-                mid += _panel_sum(f, edges, _gl16_x, _gl16_w)
+                mid += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
             total += mid
             est += 1e-14 * abs(mid)
 
@@ -171,25 +170,21 @@ class RadialQuadEngine:
         prof = self.profile
         f = lambda r: self._kernel(n, u * np.asarray(r)) * prof.density(np.asarray(r))
         step = math.pi / u
-        terms = []
-        r = r_from
+        # the panel ends and the stop first, then every panel in one call
+        edges = [r_from]
         leftover_bound = prof.tail_mass(r_from)
         complete = False
-        for _ in range(_MAX_TAIL_PANELS):
-            r_next = min(r + step, r_hi)
-            terms.append(_panel_integral(f, r, r_next, _gl12_x, _gl12_w))
-            r = r_next
-            if r >= r_hi:
+        for _ in range(_OSC_PANELS):
+            edges.append(min(edges[-1] + step, r_hi))
+            if edges[-1] >= r_hi:
                 leftover_bound = 0.0
                 complete = True
                 break
-            leftover_bound = prof.tail_mass(r)
+            leftover_bound = prof.tail_mass(edges[-1])
             if leftover_bound < 1e-16:
                 complete = True
                 break
-        if not terms:
-            return 0.0, leftover_bound
-        arr = np.asarray(terms)
+        arr = _panel_terms(f, np.array(edges), _gl12_x, _gl12_w)
         if complete:
             # the panel range covers everything that matters: plain summation
             # is exact; extrapolation would overshoot the finite sum

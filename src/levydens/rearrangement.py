@@ -249,14 +249,22 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
     n = model.dim
     counted = not _radial_monotone_ok(model)
 
-    def nu_inf():
-        # a threshold the exponent never reaches means nu = +inf there
+    def nu_inf(y):
+        """The refusal for nu = +inf at the node y, the first on its panel."""
+        if counted:
+            return IntegrabilityRefusal(
+                f"nu is infinite on the Laplace window at t={t}", diagnostics={"t": t})
+        # the sublevel set at y/t reaches past |xi| = e^700, or its volume
+        # overflows a float
         return IntegrabilityRefusal(
-            f"nu is infinite on the Laplace window at t={t}", diagnostics={"t": t})
+            f"nu is infinite or beyond the float range at y={y:g} "
+            f"(threshold y/t={y / t:g}) on the Laplace window at t={t}",
+            diagnostics={"t": t, "y": y, "threshold": y / t})
 
     def panels(a, b, extra=()):
-        """GL-16 pieces over the panels [a_i, b_i], a flag where nu is inf
-        on a panel, and nu at the ``extra`` thresholds, from one nu pass."""
+        """GL-16 pieces over the panels [a_i, b_i], the first node of each
+        panel where nu is inf (inf where none is), and nu at the ``extra``
+        thresholds, from one nu pass."""
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
         y = mid[:, None] + half[:, None] * _gl16_x
@@ -265,22 +273,23 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
         with np.errstate(invalid="ignore"):       # inf * 0 on refused panels
             rows = nu * np.exp(-y)
         pieces = [h * float(np.dot(_gl16_w, row)) for h, row in zip(half, rows)]
-        return pieces, np.any(np.isinf(nu), axis=1), rest
+        return pieces, np.where(np.isinf(nu), y, math.inf).min(axis=1).tolist(), rest
 
     total = 0.0
     # geometric panels through the algebraic region y in [1e-12, 1]
     edges = np.geomspace(1e-12, 1.0, 49)
-    pieces, inf_nu, head = panels(edges[:-1], edges[1:], [1e-12 / t])
-    for piece, refuse in zip(pieces, inf_nu):
-        if refuse:
-            raise nu_inf()
+    pieces, inf_at, head = panels(edges[:-1], edges[1:], [1e-12 / t])
+    for piece, y_inf in zip(pieces, inf_at):
+        if y_inf < math.inf:
+            raise nu_inf(y_inf)
         total += piece
     # head below 1e-12: nu is monotone, so the piece is at most nu(1e-12/t)*1e-12
     head_bound = float(head[0]) * 1e-12
     total += 0.5 * head_bound
 
     def unit_panels():
-        """(piece, nu is inf) for [y, y + 1], y = 1, 2, ..., block by block."""
+        """(piece, first node where nu is inf) for [y, y + 1], y = 1, 2, ...,
+        block by block."""
         lo = 1.0
         while True:
             a = lo + np.arange(min(_UNIT_BLOCK, _UNIT_BUDGET + 1.0 - lo))
@@ -288,8 +297,8 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
                 # the panels wholly below the built edge, or the next one alone
                 below = (a + 0.5 + 0.5 * _gl16_x[-1]) / t < _built_edge(model)
                 a = a[:max(np.count_nonzero(below), 1)]
-            pieces, inf_nu, _ = panels(a, a + 1.0)
-            yield from zip(pieces, inf_nu)
+            pieces, inf_at, _ = panels(a, a + 1.0)
+            yield from zip(pieces, inf_at)
             lo += a.size
 
     # unit panels outward with growth monitoring
@@ -298,9 +307,9 @@ def pt0_laplace(model: ModelSpec, t: float) -> float:
     grow_run = 0
     walk = unit_panels()
     for _ in range(_UNIT_BUDGET):
-        piece, refuse = next(walk)
-        if refuse:
-            raise nu_inf()
+        piece, y_inf = next(walk)
+        if y_inf < math.inf:
+            raise nu_inf(y_inf)
         total += piece
         if piece > prev and y > 40.0:
             grow_run += 1

@@ -301,23 +301,6 @@ def bessel_k(nu: float, z: float) -> SpecFunResult:
     return SpecFunResult(k_hi, (e0 + e1) * (1.0 + k_hi / max(v1, 1e-300)), method)
 
 
-def _h_series_scalar(nu: float, z: float):
-    """Series for H_nu(z) = sum_k (-1)^k (z^2/4)^k / (k! (nu+1)_k)."""
-    q = 0.25 * z * z
-    term = 1.0
-    acc = 1.0
-    max_term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= -q / (k * (nu + k))
-        acc += term
-        max_term = max(max_term, abs(term))
-        if abs(term) < _EPS or k > 400:
-            break
-    return acc, max_term * _EPS * (k + 1)
-
-
 def h_kernel(nu: float, z: float) -> float:
     """Normalized Bessel kernel H_nu(z) = 2^nu Gamma(nu+1) z^{-nu} J_nu(z).
 
@@ -326,32 +309,36 @@ def h_kernel(nu: float, z: float) -> float:
     """
     if nu < -0.5:
         raise LevyDensError(f"h_kernel: order nu={nu} outside supported range")
-    z = abs(z)
-    if z == 0.0:
-        return 1.0
-    if z <= 15.0:
-        v, _ = _h_series_scalar(nu, z)
-        return v
-    j = bessel_j(nu, z)
-    return math.exp(nu * math.log(2.0 / z) + math.lgamma(nu + 1.0)) * j.value
+    return float(h_kernel_array(nu, np.float64(abs(z))))
 
 
 def h_kernel_array(nu: float, z: np.ndarray) -> np.ndarray:
-    """Vectorized H_nu over a nonnegative array (internal helper)."""
+    """H_nu over a nonnegative array: the series sum_k (-1)^k (z^2/4)^k /
+    (k! (nu+1)_k) for z <= 15, Hankel's expansion beyond.  Each element's
+    series runs through its own first term under eps, so no element's value
+    depends on the rest of the array."""
     z = np.asarray(z, dtype=float)
     out = np.empty_like(z)
     small = z <= 15.0
     if np.any(small):
-        zs = z[small]
+        # |term_k| rounds nondecreasing in z, so in ascending z the elements
+        # whose series has stopped are a prefix: the live ones are a slice
+        order = np.argsort(z[small])
+        zs = z[small][order]
         q = 0.25 * zs * zs
-        term = np.ones_like(zs)
-        acc = np.ones_like(zs)
-        for k in range(1, 80):
-            term *= -q / (k * (nu + k))
-            acc += term
-            if np.max(np.abs(term)) < _EPS:
+        term = np.ones_like(q)
+        acc = np.ones_like(q)
+        lo = 0
+        for k in range(1, 402):
+            live = term[lo:]
+            live *= -q[lo:] / (k * (nu + k))
+            acc[lo:] += live
+            lo += np.count_nonzero(np.abs(live) < _EPS)
+            if lo == q.size:
                 break
-        out[small] = acc
+        vals = np.empty_like(acc)
+        vals[order] = acc
+        out[small] = vals
     if np.any(~small):
         zl = z[~small]
         mu4 = 4.0 * nu * nu

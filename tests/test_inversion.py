@@ -15,7 +15,7 @@ from levydens.errors import (
     RangeError,
     UnsupportedModelError,
 )
-from levydens import inversion
+from levydens import inversion, specfun
 from levydens.inversion import (
     _FOLD_CHUNK,
     _Zoom,
@@ -768,3 +768,95 @@ def test_off_lattice_grids_do_not_depend_on_the_route(monkeypatch, x):
     assert err <= f.tail_bound and err <= 1e-12
     with pytest.raises(RangeError, match="field 'grid'"):
         invert_grid(builtin_model("gamma"), 2.0, x)
+
+
+# -- radial route: one integrand call per panel layout --------------------
+
+
+def _panel_sum(f, edges, gx, gw):
+    a, b = edges[:-1], edges[1:]
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    pts = mid[:, None] + half[:, None] * gx
+    return float(np.sum(half * (f(pts.reshape(-1)).reshape(pts.shape) @ gw)))
+
+
+def _radial_panel_loop(model, t, radii):
+    """invert_radial with one integrand call per panel: the sequential
+    reference that the laid-out panels must reproduce."""
+    n, nu = model.dim, 0.5 * model.dim - 1.0
+    profile = re_psi_profile(model)
+    env = lambda u: np.exp(-t * profile(u))
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    x16, w16 = np.polynomial.legendre.leggauss(16)
+    vals, worst = [], 0.0
+    for r in radii:
+        if r == 0.0:
+            vals.append(pt_zero(model, t))
+            continue
+        f = lambda u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
+        u_knee = min(1.0, 30.0 / r)
+        total = env(np.array([5e-10]))[0] * 1e-9 ** n / n
+        total += _panel_sum(f, np.geomspace(1e-9, u_knee, 64), x16, w16)
+        u = u_big = 30.0 / r
+        if u_big > u_knee:
+            u = u_knee
+            while u < u_big:
+                u_next = min(u + min(0.5 * math.pi / r, max(0.25 * u, 1e-3)), u_big)
+                total += _panel_sum(f, np.array([u, u_next]), x16, w16)
+                u = u_next
+                if env(np.array([u]))[0] * u ** (n - 1) < 1e-22 * abs(total):
+                    break
+        ends = np.cumsum(np.concatenate(([u], np.full(240, math.pi / r))))
+        left = _tail_integral(env, n, ends[1:])
+        stop = int(np.argmax(left < 1e-16)) + 1 if np.any(left < 1e-16) else None
+        terms = [_panel_sum(f, ends[k:k + 2], x12, w12) for k in range(stop or 240)]
+        if stop is not None:
+            total += math.fsum(terms)
+            tail_est = left[stop - 1]
+        else:
+            acc, tail_est = _accelerated(np.asarray(terms))
+            total += acc
+        pref = sphere_surface(n) / (2.0 * math.pi) ** n
+        vals.append(pref * total)
+        worst = max(worst, pref * tail_est)
+    return np.array(vals), worst
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_radial_matches_closed_form(family, dim):
+    rs = np.linspace(0.0, 6.0, 25)
+    f = invert_radial(builtin_model(family, dim=dim), 1.0, rs)
+    want = [closed_form(family, 1.0, np.array([r] + [0.0] * (dim - 1)), dim=dim) for r in rs]
+    assert np.max(np.abs(f.values - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("alpha, dim, accelerated", [(0.3, 2, 24), (0.5, 1, 23),
+                                                     (1.5, 3, 0)])
+def test_radial_panels_match_the_panel_loop(monkeypatch, alpha, dim, accelerated):
+    # the slowly decaying stable envelopes take the accelerated branch on all
+    # but the smallest radii; a (P, k) block product rounds unlike P one-row
+    # products, so the values agree to rounding, not bit for bit
+    model = builtin_model("stable", alpha=alpha, dim=dim)
+    rs = np.linspace(0.0, 6.0, 25)
+    want, want_tail = _radial_panel_loop(model, 1.0, rs)
+    calls = []
+    real = inversion._accelerated
+    monkeypatch.setattr(inversion, "_accelerated",
+                        lambda terms: calls.append(terms.size) or real(terms))
+    f = invert_radial(model, 1.0, rs)
+    assert len(calls) == accelerated
+    assert np.max(np.abs(f.values - want)) <= 1e-15 * np.max(np.abs(want))
+    assert f.tail_bound == want_tail
+
+
+def test_radial_makes_three_kernel_calls_a_radius(monkeypatch):
+    calls = []
+    real = specfun.h_kernel_array
+    monkeypatch.setattr(specfun, "h_kernel_array",
+                        lambda nu, z: calls.append(z.size) or real(nu, z))
+    rs = np.linspace(0.0, 4.0, 17)
+    for name, dim in (("cauchy", 3), ("gaussian", 2), ("stable", 1)):
+        calls.clear()
+        invert_radial(builtin_model(name, dim=dim), 1.0, rs)
+        assert 2 * 16 <= len(calls) <= 3 * 16

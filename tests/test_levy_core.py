@@ -30,6 +30,7 @@ from levydens.levy_core import (
 from levydens.diagnostics import classify
 from levydens.inversion import invert_grid, pt_zero
 from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
+from levydens.quadrature import _accelerated
 from levydens.radialquad import RadialQuadEngine
 from levydens.rearrangement import nu_dist
 
@@ -260,3 +261,52 @@ def test_specs_built_in_python_refuse_non_finite_numbers(build, field):
     with pytest.raises(ModelFormatError) as exc_info:
         build()
     assert exc_info.value.field == field
+
+
+def _tail_panel_loop(engine, u, r_from, r_hi):
+    """RadialQuadEngine._oscillatory_tail with one integrand call per panel:
+    the sequential reference for the laid-out panels.  Returns (value,
+    estimate, whether the panels reached the end of the tail, sum of the
+    panels' magnitudes)."""
+    n, prof = engine.dim, engine.profile
+    f = lambda r: engine._kernel(n, u * np.asarray(r)) * prof.density(np.asarray(r))
+    x12, w12 = np.polynomial.legendre.leggauss(12)
+    terms, r, leftover, complete = [], r_from, 0.0, False
+    for _ in range(240):
+        r_next = min(r + math.pi / u, r_hi)
+        mid, half = 0.5 * (r + r_next), 0.5 * (r_next - r)
+        terms.append(half * float(np.dot(w12, f(mid + half * x12))))
+        r = r_next
+        leftover = 0.0 if r >= r_hi else prof.tail_mass(r)
+        if leftover < 1e-16:
+            complete = True
+            break
+    arr = np.asarray(terms)
+    scale = float(np.sum(np.abs(arr)))
+    if complete:
+        return float(np.sum(arr)), 1e-14 * scale + leftover, True, scale
+    value, est = _accelerated(arr)
+    return float(value), float(est) + 1e-15 * leftover, False, scale
+
+
+@pytest.mark.parametrize("name, kw, u, complete", [
+    ("tempered_stable", {"dim": 1}, 30.0, False),
+    ("tempered_stable", {"dim": 3}, 30.0, False),
+    ("tempered_stable", {"dim": 3}, 300.0, False),
+    ("exa2_logkernel", {}, 3000.0, False),
+    ("exa2_logkernel", {}, 300.0, True),            # the panels reach r = 1
+    ("tempered_stable", {"dim": 2}, 0.5, True),     # the tail mass runs out
+])
+@pytest.mark.parametrize("route", ["avg", "h"])
+def test_oscillatory_tail_matches_the_panel_loop(name, kw, u, complete, route):
+    engine = builtin_model(name, **kw)._engine(route)
+    r_from, r_hi = 30.0 / u, engine.profile.support[1]
+    want, want_est, reached, scale = _tail_panel_loop(engine, u, r_from, r_hi)
+    assert reached == complete
+    got, est = engine._oscillatory_tail(u, r_from, r_hi)
+    # a (P, 12) block product sums each panel's 12 node products in another
+    # order than a one-row product, which moves a panel by up to ~12 eps of
+    # its magnitude; in dim 3 the tail is a small difference of its panels,
+    # up to 2e-14 of the tail itself, so the bound is on the panels' sum
+    assert abs(got - want) <= 12.0 * np.finfo(float).eps * scale
+    assert abs(est - want_est) <= 12.0 * np.finfo(float).eps * scale

@@ -160,9 +160,20 @@ def test_laplace_route_refuses_at_the_threshold(t):
     # (1 + xi^2)^(-t) is not integrable at t = 1/2, and at t just above it
     # the answer (~1.6e5) needs thresholds past log(1 + u^2) ~ 709.8, where
     # u^2 overflows; an overflowing exponent stopped nu growing there, and
-    # the route returned ~113 for both
-    with pytest.raises(IntegrabilityRefusal):
+    # the route returned ~113 for both.  nu = 2 sqrt(expm1(y/t)) is finite,
+    # but its sublevel set reaches past |xi| = e^700 from y/t ~ 1400 (and nu
+    # overflows a float from y/t ~ 1419): the refusal says so
+    with pytest.raises(IntegrabilityRefusal, match="infinite or beyond the float range") as exc:
         pt0_laplace(builtin_model("sym_gamma"), t)
+    d = exc.value.diagnostics
+    assert d["t"] == t and d["threshold"] == d["y"] / t
+    assert 1400.0 < d["threshold"] < 1420.0
+
+
+def test_counted_route_refuses_an_infinite_nu():
+    with pytest.raises(IntegrabilityRefusal, match="nu is infinite on the Laplace window") as exc:
+        pt0_laplace(builtin_model("exa4_atoms"), 1.0)
+    assert exc.value.diagnostics == {"t": 1.0}
 
 
 def test_laplace_route_keeps_sym_gamma_above_the_threshold():
@@ -293,13 +304,22 @@ def _panel_loop_pt0(model, t):
     the batched walk must reproduce bit for bit."""
     x16, w16 = rearrangement._gl16_x, rearrangement._gl16_w
 
+    counted = not levy_core._radial_monotone_ok(model)
+
     def panel(a, b):
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         y = mid + half * x16
         nu = rearrangement._nu_vec(model, y / t)
-        if np.any(np.isinf(nu)):
+        inf = np.isinf(nu)
+        if np.any(inf) and counted:
             raise IntegrabilityRefusal(f"nu is infinite on the Laplace window at t={t}",
                                        diagnostics={"t": t})
+        if np.any(inf):
+            at = float(y[inf][0])
+            raise IntegrabilityRefusal(
+                f"nu is infinite or beyond the float range at y={at:g} "
+                f"(threshold y/t={at / t:g}) on the Laplace window at t={t}",
+                diagnostics={"t": t, "y": at, "threshold": at / t})
         return half * float(np.dot(w16, nu * np.exp(-y)))
 
     total = 0.0
@@ -348,6 +368,7 @@ def _laplace_case(name, kw):
     ("drifted_gaussian", {}, 1.0),
     ("exa5_atoms", {}, 0.5), ("exa5_atoms", {}, 1.0),  # counted, finite
     ("exa4_atoms", {}, 1.0),                        # nu is inf on the window
+    ("sym_gamma", {}, 0.5),                         # nu past the float range
 ])
 def test_batched_laplace_matches_the_panel_loop(name, kw, t):
     ref_model, model = _laplace_case(name, kw), _laplace_case(name, kw)
@@ -364,3 +385,57 @@ def test_laplace_route_evaluates_nu_in_few_passes(monkeypatch):
                         lambda model, x: calls.append(x.size) or real(model, x))
     pt0_laplace(builtin_model("stable", alpha=1.5), 1.0)
     assert len(calls) <= 4          # one nu pass per panel made ~90
+
+
+def _walk_every_threshold(model, x):
+    """_level_log_radius with the exponent evaluated at every threshold on
+    every bracket-walk step: the reference for the shrinking walks."""
+    fn = levy_core.re_psi_profile(model)
+    step = math.log(8.0)
+    with np.errstate(over="ignore"):
+        v_hi = np.zeros_like(x)
+        while True:
+            short = fn(np.exp(v_hi)) < x
+            grow = short & (v_hi <= levy_core._LOG_RADIUS_MAX)
+            if not np.any(grow):
+                break
+            v_hi = np.where(grow, v_hi + step, v_hi)
+        v_lo = v_hi - step
+        for _ in range(80):
+            shrink = fn(np.exp(v_lo)) >= x
+            if not np.any(shrink):
+                break
+            v_lo = np.where(shrink, v_lo - step, v_lo)
+            if np.min(v_lo) < -200.0:
+                break
+        for _ in range(60):
+            mid = 0.5 * (v_lo + v_hi)
+            below = fn(np.exp(mid)) < x
+            v_lo, v_hi = np.where(below, mid, v_lo), np.where(below, v_hi, mid)
+        return np.where(short | (x == math.inf), math.inf, 0.5 * (v_lo + v_hi))
+
+
+@pytest.mark.parametrize("name, kw, unreached", [
+    ("stable", {"alpha": 1.5}, [1e300, math.inf]), ("cauchy", {"dim": 3}, [1e300, math.inf]),
+    ("sym_gamma", {}, [1e300, math.inf]), ("gaussian", {"dim": 2}, [1e300, math.inf]),
+    ("tempered_stable", {}, []),      # the engine overflows past the table, far out
+])
+def test_level_log_radius_walks_only_unbracketed_thresholds(name, kw, unreached):
+    x = np.concatenate((np.geomspace(1e-9, 1e4, 60), unreached))
+    want = _walk_every_threshold(builtin_model(name, **kw), x)
+    assert np.array_equal(levy_core._level_log_radius(builtin_model(name, **kw), x), want)
+
+
+@pytest.mark.parametrize("name, t, most", [
+    ("stable", 1.0, 100_000),       # 103,239 when every walk step took every threshold
+    ("sym_gamma", 0.45, 110_000),   # 121,670 then
+])
+def test_laplace_route_exponent_points(name, t, most):
+    m = builtin_model(name, **({"alpha": 1.5} if name == "stable" else {}))
+    g, seen = m.g_exact, []
+    m = dataclasses.replace(m, g_exact=lambda u: seen.append(np.size(u)) or g(u))
+    try:
+        pt0_laplace(m, t)
+    except IntegrabilityRefusal:
+        pass
+    assert sum(seen) <= most

@@ -105,8 +105,10 @@ class TestHKernel:
         assert specfun.h_kernel(1.0, -3.0) == specfun.h_kernel(1.0, 3.0)
 
     def test_against_scipy(self):
-        for nu in (0.0, 0.5, 1.0, 2.5):
-            for s in np.linspace(0.05, 80.0, 91):
+        z = np.concatenate([np.linspace(0.05, 80.0, 91), np.linspace(0.5, 14.0, 28),
+                            np.linspace(16.0, 120.0, 27)])
+        for nu in (0.0, 0.5, 1.0, 1.5, 2.5):
+            for s in z:
                 ref = (2.0 / s) ** nu * math.gamma(nu + 1.0) * sp.jv(nu, s)
                 assert specfun.h_kernel(nu, float(s)) == pytest.approx(
                     ref, rel=1e-9, abs=1e-11)
@@ -118,13 +120,31 @@ class TestHKernel:
             lead = z * z / (4.0 * (nu + 1.0))
             assert 1.0 - specfun.h_kernel(nu, z) == pytest.approx(lead, rel=1e-6)
 
-    def test_array_matches_scalar(self):
-        z = np.concatenate([np.linspace(0.0, 14.0, 29),
+    def test_array_elements_do_not_depend_on_the_rest(self):
+        # each element's series stops at its own first term under eps
+        z = np.concatenate([np.linspace(0.0, 14.0, 29), [15.0],
                             np.linspace(16.0, 120.0, 27)])
-        for nu in (0.0, 0.5, 1.5):
+        for nu in (-0.5, 0.0, 0.5, 1.5):
             arr = specfun.h_kernel_array(nu, z)
-            ref = np.array([specfun.h_kernel(nu, float(s)) for s in z])
-            np.testing.assert_allclose(arr, ref, rtol=1e-9, atol=1e-12)
+            for i in range(z.size):
+                assert arr[i] == specfun.h_kernel_array(nu, z[i:i + 1])[0]
+                assert arr[i] == specfun.h_kernel(nu, float(z[i]))
+
+    def test_series_matches_the_scalar_series(self):
+        # for z <= 15 each element runs sum_k (-1)^k (z^2/4)^k / (k! (nu+1)_k)
+        # through its first term under eps, as one scalar loop would
+        def scalar(nu, z):
+            q, term, acc, k = 0.25 * z * z, 1.0, 1.0, 0
+            while True:
+                k += 1
+                term *= -q / (k * (nu + k))
+                acc += term
+                if abs(term) < 2.2204460492503131e-16 or k > 400:
+                    return acc
+        z = np.linspace(0.0, 15.0, 301)
+        for nu in (-0.5, 0.0, 1.5):
+            want = [scalar(nu, float(s)) for s in z]
+            assert np.array_equal(specfun.h_kernel_array(nu, z[::-1])[::-1], want)
 
     def test_order_range(self):
         with pytest.raises(LevyDensError):
