@@ -4,7 +4,7 @@ Submodules:
 
     levy_core      characteristic exponents, built-in model library
     measures       jump-measure variants and radial profiles
-    specfun        Bessel/Gamma special functions
+    specfun        the Bessel layer: H_nu and J_{nu+k} by one recurrence
     inversion      density computation by Fourier inversion
     rearrangement  sublevel measures and monotone rearrangements
     diagnostics    growth functionals and existence verdicts

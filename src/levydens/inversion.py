@@ -56,7 +56,9 @@ panels of the point route run from the window's edge (``_filon_tail``):
 the panel edges come from one ladder of envelope samples
 (``_filon_panels``), one call of F serves every panel's GL points, and the
 spherical Bessel moments of all orders at all (panel, node) pairs come from
-one recurrence pass per block of at most ``_FOLD_CHUNK`` pairs.  A complex
+one upward recurrence pass per block of at most ``_FOLD_CHUNK`` pairs, and
+from ``specfun``'s backward recurrence where the upward one is unstable
+(s <= k), the recurrence that also gives ``invert_radial`` its kernel.  A complex
 F (a one-sided part, point atoms, drift) takes the same panels, with Re F
 and Im F expanded alike.  The node x = 0 takes decade pieces
 (``_tail_at_zero``), those of ``quadrature``.
@@ -690,13 +692,13 @@ def _filon_panels(env, u_lo: float, reach: float,
 
 def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
     """j_0(s) .. j_{K-1}(s) for a 1-d array of finite s, K >= 2, shape
-    (K, s.size), as ``scipy.special.spherical_jn`` gives them order by order.
+    (K, s.size).
 
-    Where s > k scipy runs the upward recurrence j_0 = sin s / s,
-    j_1 = (j_0 - cos s) / s, j_{k+1} = (2k + 1) j_k / s - j_{k-1}; one pass
-    of it, in the same operation order, yields every order at once.  Where
-    s <= k scipy switches to AMOS's J_{k+1/2}, since the upward recurrence
-    is unstable there; those (order, s) pairs go to scipy in one call."""
+    Where s > k one pass of the upward recurrence j_0 = sin s / s,
+    j_1 = (j_0 - cos s) / s, j_{k+1} = (2k + 1) j_k / s - j_{k-1} yields
+    every order at once.  Where s <= k the upward recurrence is unstable;
+    those (order, s) pairs take ``specfun.bessel_j_orders`` at nu = 1/2,
+    Miller's backward recurrence, whose rows are j_0 .. j_{K-1}."""
     s = np.asarray(s, dtype=float)
     j = np.empty((K, s.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -704,9 +706,11 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
         j[1] = (j[0] - np.cos(s)) / s
         for k in range(1, K - 1):
             j[k + 1] = (2 * k + 1) * j[k] / s - j[k - 1]
-    order, at = np.nonzero(~(s > np.arange(K)[:, None]))
-    if order.size:
-        j[order, at] = _sp.spherical_jn(order, s[at])
+    low = np.flatnonzero(~(s > K - 1))
+    if low.size:
+        sl = s[low]
+        j[:, low] = np.where(sl > np.arange(K)[:, None], j[:, low],
+                             specfun.bessel_j_orders(0.5, K, sl))
     return j
 
 
@@ -1116,6 +1120,9 @@ def pt_zero(model: ModelSpec, t: float) -> float:
     return sphere_surface(n) * (head + tail_all) / (2.0 * math.pi) ** n
 
 
+_RADIAL_ROUNDING = 8.0     # a 16-node dot product rounds within 8 eps of its magnitude
+
+
 def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> DensityField:
     """p_t(|x|) for isotropic models in any dimension via the radial formula.
 
@@ -1126,6 +1133,12 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     tail falls under 1e-16, else series-accelerated over 240 of them.  Each
     of the three stretches lays out its panels first and evaluates them with
     one integrand call, so a nonzero radius makes at most three.
+
+    ``tail_bound`` is the largest over the radii of the envelope tail left
+    over plus a rounding part, 8 eps sum_j |T_j| (1 + r u_j) over the panel
+    terms T_j with right edges u_j (8 eps p_t(0) at r = 0): a GL-16 panel
+    rounds within 8 eps of its magnitude, and a node's rounding moves the
+    kernel's phase by eps u r.
     """
     if not model.isotropic:
         raise UnsupportedModelError("invert_radial needs an isotropic model")
@@ -1141,19 +1154,23 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     if np.any(radii < 0):
         raise RangeError("radii must be nonnegative")
     vals = np.empty_like(radii)
-    worst_tail = 0.0
+    worst = 0.0
     p0 = None
     for i, r in enumerate(radii):
         if r == 0.0:
             if p0 is None:
                 p0 = pt_zero(model, t)
             vals[i] = p0
+            worst = max(worst, _RADIAL_ROUNDING * _EPS * p0)
             continue
         f = lambda u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
+        weigh = lambda terms, right: float(np.abs(terms) @ (1.0 + r * right))
         u_knee = min(1.0, 30.0 / r)
         edges = np.geomspace(1e-9, u_knee, 64)
-        total = env(np.array([5e-10]))[0] * 1e-9 ** n / n   # [0, 1e-9] head
-        total += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
+        head = env(np.array([5e-10]))[0] * 1e-9 ** n / n   # [0, 1e-9]
+        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+        total = head + float(np.sum(terms))
+        mag = head + weigh(terms, edges[1:])
         u_big = 30.0 / r
         if u_big > u_knee:
             # panel width capped both by the kernel half-period and by a
@@ -1166,11 +1183,12 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
                 du = min(half_period, max(0.25 * edges[-1], 1e-3))
                 edges.append(min(edges[-1] + du, u_big))
             edges = np.array(edges)
-            running = np.cumsum(np.concatenate(
-                ([total], _panel_terms(f, edges, _gl16_x, _gl16_w))))[1:]
+            terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+            running = np.cumsum(np.concatenate(([total], terms)))[1:]
             small = env(edges[1:]) * edges[1:] ** (n - 1) < 1e-22 * np.abs(running)
             k = int(np.argmax(small)) if np.any(small) else running.size - 1
             total, u_big = float(running[k]), float(edges[k + 1])
+            mag += weigh(terms[:k + 1], edges[1:k + 2])
         # oscillatory tail in half periods of the Bessel kernel, summed
         # plainly up to the first panel end whose envelope tail is under
         # 1e-16, else accelerated over all the panels; the ends' tails are
@@ -1196,13 +1214,14 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         else:
             acc, tail_est = _accelerated(terms)
             total += acc
+        mag += weigh(terms, ends[1:terms.size + 1])
         vals[i] = pref * total
-        worst_tail = max(worst_tail, pref * tail_est)
+        worst = max(worst, pref * (tail_est + _RADIAL_ROUNDING * _EPS * mag))
     order = np.argsort(radii)
     mass = float(sphere_surface(n) * np.trapezoid(
         vals[order] * radii[order] ** (n - 1), radii[order])) if radii.size > 1 else math.nan
     return DensityField(kind="radial", dim=n, t=t, nodes=(radii,), values=vals,
-                        mass=mass, tail_bound=worst_tail)
+                        mass=mass, tail_bound=worst)
 
 
 def multiplier_apply(model: ModelSpec, phi_model: ModelSpec, m: int, t: float,
@@ -1253,6 +1272,5 @@ def closed_form(family: str, t: float, x, dim: int = 1) -> float:
         c = 2.0 ** (1.0 - n) / (math.pi ** (0.5 * n) * math.gamma(t))
         if r == 0.0:
             return 0.5 * c * math.gamma(nu)
-        kv = specfun.bessel_k(nu, r).value
-        return c * (0.5 * r) ** nu * kv
+        return c * (0.5 * r) ** nu * float(_sp.kv(nu, r))
     raise RangeError(f"unknown closed-form family '{family}'")

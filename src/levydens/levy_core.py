@@ -385,7 +385,9 @@ _LOG_RADIUS_MAX = 700.0    # e^700 still leaves e^9 of floating-point headroom
 def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     """ln inf{u : Re psi(|xi| = u) >= x} for each positive threshold of x,
     on a radial exponent that ``_radial_monotone_ok`` accepts; +inf where
-    the exponent stays below x out to u = e^700, and at x = +inf.
+    the exponent stays below x out to u = e^700, and at x = +inf, which
+    takes no walk.  A threshold that the walk has not reached where the
+    exponent's evaluation overflows raises RangeError naming it.
 
     Roots range over hundreds of e-folds near the integrability threshold,
     so all thresholds bisect together in v = ln u on the exponent table.
@@ -396,10 +398,16 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     # u^2 and the like overflow to inf far out, which is still an upper bracket
     with np.errstate(over="ignore"):
         v_hi = np.zeros_like(x)
-        short = np.empty(x.shape, dtype=bool)
-        walk = np.arange(x.size)
+        short = x == math.inf
+        walk = np.flatnonzero(~short)
         while walk.size:
-            short[walk] = fn(np.exp(v_hi[walk])) < x[walk]
+            try:
+                short[walk] = fn(np.exp(v_hi[walk])) < x[walk]
+            except OverflowError:
+                raise RangeError(
+                    f"threshold {float(np.min(x[walk])):g} not reached below "
+                    f"|xi| = e^{float(np.max(v_hi[walk])):.0f}, where Re psi overflows"
+                ) from None
             walk = walk[short[walk] & (v_hi[walk] <= _LOG_RADIUS_MAX)]
             v_hi[walk] += step
         v_lo = v_hi - step

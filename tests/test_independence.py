@@ -118,6 +118,20 @@ def test_gauss_legendre_tables_live_in_two_modules():
     assert users == ["quadrature.py", "rearrangement.py"]
 
 
+def test_bessel_j_comes_from_specfun_alone():
+    # one Bessel layer: no module calls scipy's J family; the recurrence in
+    # specfun serves H_nu and the Filon moments (scipy's kv in closed_form
+    # is K, not J)
+    src = pathlib.Path(quadrature.__file__).parent
+    j_family = {"jv", "jve", "jn", "j0", "j1", "spherical_jn"}
+    calls = sorted(
+        f"{p.name}:{node.lineno}" for p in src.glob("*.py")
+        for node in ast.walk(ast.parse(p.read_text()))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) in j_family)
+    assert calls == []
+
+
 def test_only_levy_core_picks_the_exponent_table_range():
     # re_psi_profile's one table grows on demand: no other module passes a
     # second argument, so the table's range stays decided in levy_core

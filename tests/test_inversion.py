@@ -1,13 +1,14 @@
 """Fourier inversion: closed-form oracles, normalization, refusals."""
 
 import dataclasses
+import json
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy import special as sp
 
 from levydens.errors import (
     IntegrabilityRefusal,
@@ -38,6 +39,9 @@ from levydens.inversion import (
 from levydens.levy_core import ModelSpec, builtin_model, eval_re_psi, re_psi_profile
 from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
 
+# written by scripts/bessel_reference.py (mpmath at 40 digits)
+_BESSEL_REF = json.loads((pathlib.Path(__file__).parent / "data" / "bessel_ref.json").read_text())
+
 
 def test_gaussian_grid_matches_heat_kernel():
     m = builtin_model("gaussian")
@@ -64,6 +68,25 @@ def test_gamma_subordinator_density():
     f = invert_grid(m, 2.0, xs)
     ref = np.array([closed_form("gamma", 2.0, x) for x in xs])
     np.testing.assert_allclose(f.values, ref, atol=1e-6)
+
+
+def test_laplace_closed_form_is_exact():
+    # the Bessel-K form at t = 1, dim 1 is e^{-|x|} / 2
+    for x in np.linspace(-30.0, 30.0, 601):
+        assert closed_form("laplace", 1.0, x) == pytest.approx(0.5 * math.exp(-abs(x)),
+                                                               rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("case", _BESSEL_REF["k"], ids=lambda c: f"d{c['dim']}-t{c['t']}")
+def test_bessel_k_closed_form_matches_the_reference_table(case):
+    # c (r/2)^nu K_nu(r), c = 2^{1-n} / (pi^{n/2} Gamma(t)), nu = t - n/2,
+    # with K_nu from the 40-digit table; scipy's kv, which closed_form calls,
+    # is up to 6.6e-14 off near r = 2 at the orders 0.25 and 0.45
+    n, t, nu = case["dim"], case["t"], case["nu"]
+    c = 2.0 ** (1.0 - n) / (math.pi ** (0.5 * n) * math.gamma(t))
+    for r, kv in zip(case["r"], case["values"]):
+        got = closed_form("sym_gamma_besselk", t, np.array([r] + [0.0] * (n - 1)), dim=n)
+        assert got == pytest.approx(c * (0.5 * r) ** nu * kv, rel=1e-13, abs=0.0)
 
 
 def test_closed_form_families():
@@ -429,18 +452,18 @@ def test_lattice_blocks_match_full_product():
 
 # -- the tail corrections, batched across nodes -------------------------------
 
-def test_spherical_jn_orders_match_scipy():
-    # a log grid across the switch at s = k between AMOS (s <= k) and the
-    # upward recurrence (s > k), plus s = k and one ulp either side (scipy
-    # gives NaN for orders >= 1 at the subnormal just above 0; so must we)
-    K = 12
-    k = np.arange(K, dtype=float)
-    s = np.concatenate((np.geomspace(1e-6, 1e4, 4001), k, np.nextafter(k[1:], 0.0),
-                        np.nextafter(k, np.inf)))
-    got = _spherical_jn_orders(K, s)
-    assert got.shape == (K, s.size)
-    for order in range(K):
-        np.testing.assert_allclose(got[order], sp.spherical_jn(order, s), rtol=0, atol=1e-15)
+def test_spherical_jn_orders_match_the_reference_table():
+    # a log grid across the switch at s = k between the backward recurrence
+    # (s <= k) and the upward one (s > k), plus s = k and one ulp either
+    # side, against 40-digit values; at the subnormal just above 0 the
+    # orders >= 1 are 0, not NaN
+    s = np.array(_BESSEL_REF["j"]["s"])
+    want = np.array(_BESSEL_REF["j"]["values"])
+    got = _spherical_jn_orders(want.shape[0], s)
+    assert got.shape == want.shape
+    assert np.isfinite(got).all()
+    for order in range(want.shape[0]):
+        np.testing.assert_allclose(got[order], want[order], rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("t", [1.95, 6.0])
@@ -773,11 +796,14 @@ def test_off_lattice_grids_do_not_depend_on_the_route(monkeypatch, x):
 # -- radial route: one integrand call per panel layout --------------------
 
 
-def _panel_sum(f, edges, gx, gw):
+def _panel_sum(f, edges, gx, gw, r=0.0):
+    """(sum of the GL panel terms T_j, sum of |T_j| (1 + r u_j)), u_j the
+    right edges: the value and the magnitude behind the rounding part."""
     a, b = edges[:-1], edges[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     pts = mid[:, None] + half[:, None] * gx
-    return float(np.sum(half * (f(pts.reshape(-1)).reshape(pts.shape) @ gw)))
+    terms = half * (f(pts.reshape(-1)).reshape(pts.shape) @ gw)
+    return float(np.sum(terms)), float(np.sum(np.abs(terms) * (1.0 + r * b)))
 
 
 def _radial_panel_loop(model, t, radii):
@@ -792,24 +818,29 @@ def _radial_panel_loop(model, t, radii):
     for r in radii:
         if r == 0.0:
             vals.append(pt_zero(model, t))
+            worst = max(worst, 8.0 * np.finfo(float).eps * vals[-1])
             continue
         f = lambda u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
         u_knee = min(1.0, 30.0 / r)
-        total = env(np.array([5e-10]))[0] * 1e-9 ** n / n
-        total += _panel_sum(f, np.geomspace(1e-9, u_knee, 64), x16, w16)
+        total = mag = env(np.array([5e-10]))[0] * 1e-9 ** n / n
+        value, size = _panel_sum(f, np.geomspace(1e-9, u_knee, 64), x16, w16, r)
+        total, mag = total + value, mag + size
         u = u_big = 30.0 / r
         if u_big > u_knee:
             u = u_knee
             while u < u_big:
                 u_next = min(u + min(0.5 * math.pi / r, max(0.25 * u, 1e-3)), u_big)
-                total += _panel_sum(f, np.array([u, u_next]), x16, w16)
+                value, size = _panel_sum(f, np.array([u, u_next]), x16, w16, r)
+                total, mag = total + value, mag + size
                 u = u_next
                 if env(np.array([u]))[0] * u ** (n - 1) < 1e-22 * abs(total):
                     break
         ends = np.cumsum(np.concatenate(([u], np.full(240, math.pi / r))))
         left = _tail_integral(env, n, ends[1:])
         stop = int(np.argmax(left < 1e-16)) + 1 if np.any(left < 1e-16) else None
-        terms = [_panel_sum(f, ends[k:k + 2], x12, w12) for k in range(stop or 240)]
+        terms, sizes = zip(*(_panel_sum(f, ends[k:k + 2], x12, w12, r)
+                             for k in range(stop or 240)))
+        mag += sum(sizes)
         if stop is not None:
             total += math.fsum(terms)
             tail_est = left[stop - 1]
@@ -818,7 +849,7 @@ def _radial_panel_loop(model, t, radii):
             total += acc
         pref = sphere_surface(n) / (2.0 * math.pi) ** n
         vals.append(pref * total)
-        worst = max(worst, pref * tail_est)
+        worst = max(worst, pref * (tail_est + 8.0 * np.finfo(float).eps * mag))
     return np.array(vals), worst
 
 
@@ -847,7 +878,21 @@ def test_radial_panels_match_the_panel_loop(monkeypatch, alpha, dim, accelerated
     f = invert_radial(model, 1.0, rs)
     assert len(calls) == accelerated
     assert np.max(np.abs(f.values - want)) <= 1e-15 * np.max(np.abs(want))
-    assert f.tail_bound == want_tail
+    # the rounding part sums the panel magnitudes in another order
+    assert f.tail_bound == pytest.approx(want_tail, rel=1e-13)
+
+
+@pytest.mark.parametrize("family, dim, t", [
+    ("cauchy", 1, 1.0), ("cauchy", 2, 1.0), ("cauchy", 3, 1.0),
+    ("gaussian", 2, 0.5), ("gaussian", 3, 0.5),
+])
+def test_radial_error_within_tail_bound(family, dim, t):
+    # the bound's rounding part covers what the kernel and the panel sums
+    # leave, about 1e-16 here
+    rs = np.linspace(0.0, 6.0, 25)
+    f = invert_radial(builtin_model(family, dim=dim), t, rs)
+    want = [closed_form(family, t, np.array([r] + [0.0] * (dim - 1)), dim=dim) for r in rs]
+    assert np.max(np.abs(f.values - want)) <= f.tail_bound
 
 
 def test_radial_makes_three_kernel_calls_a_radius(monkeypatch):

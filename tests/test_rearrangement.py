@@ -70,6 +70,17 @@ def test_nu_dist_takes_arrays():
         nu_dist(m, np.array([1.0, math.nan]))
 
 
+def test_nu_dist_past_the_engines_reach():
+    # nu(inf) = inf takes no bracket walk; a threshold that the quadrature
+    # engine overflows before reaching is refused by name, not with a bare
+    # OverflowError from the engine's u^4
+    m = builtin_model("tempered_stable")
+    assert nu_dist(m, math.inf) == math.inf
+    assert nu_dist(m, np.array([1.0, math.inf]))[1] == math.inf
+    with pytest.raises(RangeError, match=r"threshold 1e\+300 "):
+        nu_dist(m, 1e300)
+
+
 def test_bounded_exponent_sublevel_sets():
     # Re psi = 1 - e^{-u^2} stays below 1: nu(x) = 2 sqrt(-ln(1 - x)) under
     # 1, and the whole line above it

@@ -1,6 +1,9 @@
-"""Special functions against scipy references and exact identities."""
+"""The Bessel layer against the committed mpmath tables, scipy and exact
+identities."""
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -9,83 +12,29 @@ from scipy import special as sp
 from levydens import specfun
 from levydens.errors import LevyDensError
 
-
-class TestGammaFn:
-    def test_against_math_gamma(self):
-        for x in np.concatenate([np.linspace(0.05, 0.95, 10),
-                                 np.linspace(1.0, 30.0, 40)]):
-            assert specfun.gamma_fn(float(x)) == pytest.approx(
-                math.gamma(float(x)), rel=1e-12)
-
-    def test_reflection_negative(self):
-        for x in (-0.5, -1.5, -2.3, -7.7):
-            assert specfun.gamma_fn(x) == pytest.approx(math.gamma(x), rel=1e-11)
-
-    def test_poles_raise(self):
-        for x in (0.0, -1.0, -5.0):
-            with pytest.raises(ValueError):
-                specfun.gamma_fn(x)
+# written by scripts/bessel_reference.py (mpmath at 40 digits)
+_REF = json.loads((pathlib.Path(__file__).parent / "data" / "bessel_ref.json").read_text())
 
 
 class TestBesselJ:
     def test_against_scipy(self):
-        z = np.concatenate([np.geomspace(1e-4, 11.0, 40),
-                            np.linspace(12.0, 200.0, 60)])
+        # rows Gamma(nu+1) (z/2)^{-nu} J_{nu+k}(z), k = 0 .. K-1
+        z = np.concatenate([np.geomspace(1e-4, 1.0, 20), np.linspace(1.0, 20.0, 77)])
         for nu in (-0.5, 0.0, 0.5, 1.0, 2.5, 7.0):
-            for zz in z:
-                res = specfun.bessel_j(nu, float(zz))
-                ref = sp.jv(nu, float(zz))
-                assert res.value == pytest.approx(ref, rel=2e-10, abs=2e-12)
-
-    def test_error_estimate_honest(self):
-        # reported estimates must actually bound the observed error
-        for nu in (0.0, 1.0, 3.5):
-            for zz in np.linspace(0.1, 100.0, 37):
-                res = specfun.bessel_j(nu, float(zz))
-                err = abs(res.value - sp.jv(nu, float(zz)))
-                assert err <= max(10.0 * res.est_error, 1e-13)
+            got = specfun.bessel_j_orders(nu, 6, z)
+            for k in range(6):
+                ref = math.gamma(nu + 1.0) * (0.5 * z) ** -nu * sp.jv(nu + k, z)
+                np.testing.assert_allclose(got[k], ref, rtol=1e-13, atol=2e-15)
 
     def test_at_zero(self):
-        assert specfun.bessel_j(0.0, 0.0).value == 1.0
-        assert specfun.bessel_j(1.5, 0.0).value == 0.0
-
-    def test_method_switch(self):
-        assert specfun.bessel_j(0.0, 1.0).method == "series"
-        assert specfun.bessel_j(0.0, 50.0).method == "asymptotic"
-
-    def test_invalid_args(self):
-        with pytest.raises(LevyDensError):
-            specfun.bessel_j(-1.0, 1.0)
-        with pytest.raises(LevyDensError):
-            specfun.bessel_j(0.0, -1.0)
-
-
-class TestBesselK:
-    def test_against_scipy(self):
-        z = np.concatenate([np.geomspace(1e-3, 6.0, 40),
-                            np.linspace(6.5, 60.0, 40)])
-        for nu in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 3.7):
-            for zz in z:
-                res = specfun.bessel_k(nu, float(zz))
-                ref = sp.kv(nu, float(zz))
-                assert res.value == pytest.approx(ref, rel=5e-9)
-
-    def test_symmetry_in_order(self):
-        assert specfun.bessel_k(-1.5, 2.0).value == specfun.bessel_k(1.5, 2.0).value
-
-    def test_half_integer_closed_form(self):
-        for zz in (0.5, 1.0, 10.0, 100.0):
-            ref = math.sqrt(0.5 * math.pi / zz) * math.exp(-zz)
-            res = specfun.bessel_k(0.5, zz)
-            assert res.value == pytest.approx(ref, rel=1e-14)
-            assert res.method == "recurrence"
-
-    def test_underflow_far_tail(self):
-        assert specfun.bessel_k(1.0, 800.0).value == 0.0
-
-    def test_invalid_args(self):
-        with pytest.raises(LevyDensError):
-            specfun.bessel_k(0.5, 0.0)
+        # no division by z: at 0 and the smallest subnormal R_0 = H_nu = 1 and
+        # R_k = 0 for k >= 1; at 1e-300, R_1 = z / (2 (nu + 1)) and R_2 underflows
+        for nu in (-0.5, 0.0, 1.5):
+            got = specfun.bessel_j_orders(nu, 4, np.array([0.0, 5e-324, 1e-300]))
+            assert np.array_equal(got[0], [1.0, 1.0, 1.0])
+            assert np.array_equal(got[1:, :2], np.zeros((3, 2)))
+            assert got[1, 2] == pytest.approx(0.5e-300 / (nu + 1.0), rel=1e-15)
+            assert np.array_equal(got[2:, 2], [0.0, 0.0])
 
 
 class TestHKernel:
@@ -113,6 +62,21 @@ class TestHKernel:
                 assert specfun.h_kernel(nu, float(s)) == pytest.approx(
                     ref, rel=1e-9, abs=1e-11)
 
+    def test_matches_the_reference_table(self):
+        # the recurrence up to z = 20 and Hankel's expansion beyond
+        z = np.array(_REF["h"]["z"])
+        for nu, want in _REF["h"]["values"].items():
+            err = np.abs(specfun.h_kernel_array(float(nu), z) - want)
+            assert np.max(err) <= 1e-15, (nu, z[np.argmax(err)])
+
+    def test_tiny_arguments(self):
+        z = np.array([0.0, 5e-324, 1e-300, 1e-160, 1e-8])
+        for nu in (-0.5, 0.0, 0.5, 1.0, 1.5, 4.5):
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = specfun.h_kernel_array(nu, z)
+            assert np.array_equal(got[:4], np.ones(4))
+            assert got[4] == pytest.approx(1.0 - 0.25e-16 / (nu + 1.0), abs=1e-16)
+
     def test_small_z_expansion(self):
         # 1 - H_nu(z) ~ z^2 / (4 (nu + 1))
         for nu in (0.0, 0.5, 2.0):
@@ -121,7 +85,7 @@ class TestHKernel:
             assert 1.0 - specfun.h_kernel(nu, z) == pytest.approx(lead, rel=1e-6)
 
     def test_array_elements_do_not_depend_on_the_rest(self):
-        # each element's series stops at its own first term under eps
+        # each element's recurrence starts at its own order
         z = np.concatenate([np.linspace(0.0, 14.0, 29), [15.0],
                             np.linspace(16.0, 120.0, 27)])
         for nu in (-0.5, 0.0, 0.5, 1.5):
@@ -129,22 +93,6 @@ class TestHKernel:
             for i in range(z.size):
                 assert arr[i] == specfun.h_kernel_array(nu, z[i:i + 1])[0]
                 assert arr[i] == specfun.h_kernel(nu, float(z[i]))
-
-    def test_series_matches_the_scalar_series(self):
-        # for z <= 15 each element runs sum_k (-1)^k (z^2/4)^k / (k! (nu+1)_k)
-        # through its first term under eps, as one scalar loop would
-        def scalar(nu, z):
-            q, term, acc, k = 0.25 * z * z, 1.0, 1.0, 0
-            while True:
-                k += 1
-                term *= -q / (k * (nu + k))
-                acc += term
-                if abs(term) < 2.2204460492503131e-16 or k > 400:
-                    return acc
-        z = np.linspace(0.0, 15.0, 301)
-        for nu in (-0.5, 0.0, 1.5):
-            want = [scalar(nu, float(s)) for s in z]
-            assert np.array_equal(specfun.h_kernel_array(nu, z[::-1])[::-1], want)
 
     def test_order_range(self):
         with pytest.raises(LevyDensError):
