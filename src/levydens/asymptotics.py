@@ -121,7 +121,7 @@ def fit_regular_variation(table: rearrangement.RearrangementTable,
     return rho, l_anchor
 
 
-def _fit_r_squared(table, window, rho, l_anchor) -> float:
+def _fit_r_squared(table, window) -> float:
     x_lo, x_hi = window
     mask = (table.x_nodes >= x_lo) & (table.x_nodes <= x_hi) & \
         np.isfinite(table.nu_values) & (table.nu_values > 0.0)
@@ -162,7 +162,7 @@ def predict_pt0(model: ModelSpec, direction: str = "t_to_0") -> AsymptoticReport
     x_lo, x_hi = 1.0 / t_hi, 1.0 / t_lo
     table = rearrangement.build_table(model, 2.0 * x_hi, x_min=min(x_lo, 1e-3))
     rho, l_anchor = fit_regular_variation(table, (x_lo, x_hi))
-    r2 = _fit_r_squared(table, (x_lo, x_hi), rho, l_anchor)
+    r2 = _fit_r_squared(table, (x_lo, x_hi))
 
     n = model.dim
     predicted = None

@@ -94,13 +94,11 @@ from .errors import (
 from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
-    _OSC_PANELS,
-    _accelerated,
     _decade_piece,
-    _gl12_w,
-    _gl12_x,
     _gl16_w,
     _gl16_x,
+    _half_period_ends,
+    _half_period_tail,
     _head_integral,
     _panel_terms,
     _tail_integral,
@@ -1129,8 +1127,8 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     p_t(r) = (2 pi)^{-n} omega_{n-1} int_0^inf e^{-t g(u^2)} u^{n-1}
              H_{(n-2)/2}(u r) du, over 64 geometric GL-16 panels up to
     min(1, 30/r), GL-16 panels of width min(pi/(2r), max(u/4, 1e-3)) up to
-    30/r, then half-period GL-12 panels summed plainly where the envelope
-    tail falls under 1e-16, else series-accelerated over 240 of them.  Each
+    30/r, then ``quadrature._half_period_tail``'s GL-12 panels, stopped on
+    the envelope tail past their ends (an infinite one refuses).  Each
     of the three stretches lays out its panels first and evaluates them with
     one integrand call, so a nonzero radius makes at most three.
 
@@ -1189,31 +1187,13 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
             k = int(np.argmax(small)) if np.any(small) else running.size - 1
             total, u_big = float(running[k]), float(edges[k + 1])
             mag += weigh(terms[:k + 1], edges[1:k + 2])
-        # oscillatory tail in half periods of the Bessel kernel, summed
-        # plainly up to the first panel end whose envelope tail is under
-        # 1e-16, else accelerated over all the panels; the ends' tails are
-        # taken in blocks of 1, 2, 4, ... ends
-        ends = np.full(_OSC_PANELS + 1, math.pi / r)
-        ends[0] = u_big
-        np.cumsum(ends, out=ends)
-        stop = None
-        lo, size = 1, 1
-        while stop is None and lo <= _OSC_PANELS:
-            for k, left in enumerate(_tail_integral(env, n, ends[lo:lo + size]).tolist(),
-                                     lo):
-                if math.isinf(left):
-                    raise IntegrabilityRefusal(
-                        f"envelope tail diverges at t={t}", diagnostics={"t": t})
-                if left < 1e-16:
-                    stop, tail_est = k, left
-                    break
-            lo, size = lo + size, 2 * size
-        terms = _panel_terms(f, ends[:(stop or _OSC_PANELS) + 1], _gl12_x, _gl12_w)
-        if stop is not None:
-            total += math.fsum(terms)
-        else:
-            acc, tail_est = _accelerated(terms)
-            total += acc
+        # oscillatory tail in half periods of the Bessel kernel, stopped on
+        # the envelope tail past the panel ends
+        ends = _half_period_ends(u_big, math.pi / r)
+        acc, tail_est, terms = _half_period_tail(f, ends, lambda e: _tail_integral(env, n, e))
+        if math.isinf(tail_est):
+            raise IntegrabilityRefusal(f"envelope tail diverges at t={t}", diagnostics={"t": t})
+        total += acc
         mag += weigh(terms, ends[1:terms.size + 1])
         vals[i] = pref * total
         worst = max(worst, pref * (tail_est + _RADIAL_ROUNDING * _EPS * mag))

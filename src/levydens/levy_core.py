@@ -161,7 +161,7 @@ def _jump_re_at_radius(model: ModelSpec, u: float, route: str = "avg") -> float:
     """Real jump exponent of the radial part (profile + radius atoms) at |xi|=u."""
     n = model.dim
     eng = model._engine(route)
-    total = 0.0 if eng is None else eng.g(u)[0] * (0.5 if model.measure.onesided else 1.0)
+    total = 0.0 if eng is None else eng.g(u) * (0.5 if model.measure.onesided else 1.0)
     radius_atoms = model.measure.radial_atoms()
     if radius_atoms:
         one_minus = one_minus_kernel if route == "avg" else _one_minus_h
@@ -303,7 +303,7 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             seg = u[lo:lo + (1 << 12), None]
             vals[lo:lo + seg.size] = one_minus_kernel(n, seg * radii) @ masses
         if eng is not None:
-            vals += np.array([eng.g(x)[0] for x in u]) * (0.5 if model.measure.onesided else 1.0)
+            vals += np.array([eng.g(x) for x in u]) * (0.5 if model.measure.onesided else 1.0)
         return vals + 0.5 * q * u * u
     return fn
 
@@ -392,7 +392,9 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
     Roots range over hundreds of e-folds near the integrability threshold,
     so all thresholds bisect together in v = ln u on the exponent table.
     The bracket walks evaluate the exponent only at the thresholds still
-    walking."""
+    walking, and each walk step at each distinct point once (past the
+    table's cap each point is a direct engine call): the thresholds walking
+    up share one level, and those walking down a few."""
     fn = re_psi_profile(model)
     step = math.log(8.0)
     # u^2 and the like overflow to inf far out, which is still an upper bracket
@@ -402,7 +404,7 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
         walk = np.flatnonzero(~short)
         while walk.size:
             try:
-                short[walk] = fn(np.exp(v_hi[walk])) < x[walk]
+                short[walk] = fn(np.exp(v_hi[walk[:1]])) < x[walk]
             except OverflowError:
                 raise RangeError(
                     f"threshold {float(np.min(x[walk])):g} not reached below "
@@ -413,7 +415,8 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
         v_lo = v_hi - step
         walk = np.arange(x.size)
         for _ in range(80):
-            walk = walk[fn(np.exp(v_lo[walk])) >= x[walk]]
+            lv, back = np.unique(v_lo[walk], return_inverse=True)
+            walk = walk[fn(np.exp(lv))[back] >= x[walk]]
             if not walk.size:
                 break
             v_lo[walk] -= step

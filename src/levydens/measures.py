@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,14 +45,14 @@ def stable_density_constant(n: int, alpha: float) -> float:
     )
 
 
-def _upper_incomplete_gamma(a: float, x: float) -> float:
+def _upper_incomplete_gamma(a: float, x: np.ndarray) -> np.ndarray:
     """Gamma(a, x) for a > -2, x > 0, via recurrence into the a > 0 range."""
     if a > 0.0:
         return _sp.gammaincc(a, x) * math.gamma(a)
     if abs(a) < 1e-12:
         return _sp.exp1(x)
     # Gamma(a, x) = (Gamma(a+1, x) - x^a e^{-x}) / a
-    return (_upper_incomplete_gamma(a + 1.0, x) - x ** a * math.exp(-x)) / a
+    return (_upper_incomplete_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
 
 
 class RadialProfile:
@@ -69,7 +70,14 @@ class RadialProfile:
     def fourth_moment(self, r0: float) -> float:  # int_0^{r0} r^4 rho(r) dr
         raise NotImplementedError
 
-    def tail_mass(self, r: float) -> float:  # mu((r, inf))
+    def tail_mass(self, r):
+        """mu((r, inf)) for a float r (a float is returned) or an array."""
+        arr = np.asarray(r, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            out = self._tail_mass(arr.reshape(-1))
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
+
+    def _tail_mass(self, r: np.ndarray) -> np.ndarray:  # over a 1-d array
         raise NotImplementedError
 
     def levy_integrability_check(self) -> float:
@@ -103,14 +111,10 @@ class PowerLawProfile(RadialProfile):
         r0 = min(r0, self.r_max)
         return self.c * r0 ** (4.0 - self.alpha) / (4.0 - self.alpha)
 
-    def tail_mass(self, r):
-        if r >= self.r_max:
-            return 0.0
-        if r <= 0.0:
-            return math.inf
-        if math.isinf(self.r_max):
-            return self.c * r ** (-self.alpha) / self.alpha
-        return self.c * (r ** (-self.alpha) - self.r_max ** (-self.alpha)) / self.alpha
+    def _tail_mass(self, r):
+        # r_max ** -alpha is 0.0 for an infinite r_max
+        out = self.c * (r ** (-self.alpha) - self.r_max ** (-self.alpha)) / self.alpha
+        return np.where(r >= self.r_max, 0.0, np.where(r <= 0.0, math.inf, out))
 
 
 @dataclass(frozen=True)
@@ -140,10 +144,9 @@ class TemperedPowerLawProfile(RadialProfile):
         a = 4.0 - self.alpha
         return self.c * self.lam ** (-a) * _sp.gammainc(a, self.lam * r0) * math.gamma(a)
 
-    def tail_mass(self, r):
-        if r <= 0.0:
-            return math.inf
-        return self.c * self.lam ** self.alpha * _upper_incomplete_gamma(-self.alpha, self.lam * r)
+    def _tail_mass(self, r):
+        out = self.c * self.lam ** self.alpha * _upper_incomplete_gamma(-self.alpha, self.lam * r)
+        return np.where(r <= 0.0, math.inf, out)
 
 
 @dataclass(frozen=True)
@@ -165,12 +168,8 @@ class LogKernelProfile(RadialProfile):
         r0 = min(r0, 1.0)
         return -0.5 * r0 ** 4 * math.log(r0) + 0.125 * r0 ** 4
 
-    def tail_mass(self, r):
-        if r >= 1.0:
-            return 0.0
-        if r <= 0.0:
-            return math.inf
-        return math.log(r) ** 2
+    def _tail_mass(self, r):
+        return np.where(r >= 1.0, 0.0, np.where(r <= 0.0, math.inf, np.log(r) ** 2))
 
 
 @dataclass(frozen=True)
@@ -192,15 +191,16 @@ class GammaTypeProfile(RadialProfile):
         # 2 * lower incomplete gamma(4, r0)
         return 2.0 * _sp.gammainc(4.0, r0) * 6.0
 
-    def tail_mass(self, r):
-        if r <= 0.0:
-            return math.inf
-        return 2.0 * _sp.exp1(r)
+    def _tail_mass(self, r):
+        return np.where(r <= 0.0, math.inf, 2.0 * _sp.exp1(r))
 
 
 @dataclass(frozen=True)
 class TableProfile(RadialProfile):
-    """Radial marginal density sampled on a grid, log-log interpolated."""
+    """Radial marginal density sampled on a grid, log-log interpolated.  Its
+    moments and tail mass integrate the interpolant exactly, segment by
+    segment: r^p rho is a power on a ``loglog`` one and a polynomial of
+    degree p + 1 on a ``linear`` one."""
 
     r_nodes: Tuple[float, ...]
     rho_values: Tuple[float, ...]
@@ -219,40 +219,61 @@ class TableProfile(RadialProfile):
             raise ModelFormatError(f"unknown interpolation rule '{self.interp}'", field="measure.interp")
         object.__setattr__(self, "support", (float(r[0]), float(r[-1])))
 
+    def _log_rho(self, log_r):
+        """log rho of the loglog interpolant, zero nodes floored at -745."""
+        with np.errstate(divide="ignore"):
+            logv = np.maximum(np.log(np.asarray(self.rho_values, dtype=float)), -745.0)
+        return np.interp(log_r, np.log(np.asarray(self.r_nodes, dtype=float)), logv)
+
     def density(self, r):
         r = np.asarray(r, dtype=float)
         rn = np.asarray(self.r_nodes, dtype=float)
-        vn = np.asarray(self.rho_values, dtype=float)
         if self.interp == "linear":
-            return np.interp(r, rn, vn, left=0.0, right=0.0)
-        with np.errstate(divide="ignore"):
-            logv = np.where(vn > 0, np.log(vn), -745.0)
-        out = np.exp(np.interp(np.log(np.maximum(r, 1e-300)), np.log(rn), logv))
+            return np.interp(r, rn, np.asarray(self.rho_values, dtype=float), left=0.0, right=0.0)
+        out = np.exp(self._log_rho(np.log(np.maximum(r, 1e-300))))
         out[(r < rn[0]) | (r > rn[-1])] = 0.0
         return out
 
-    def _moment(self, power, r0):
-        lo, hi = self.support
-        r0 = min(r0, hi)
-        if r0 <= lo:
-            return 0.0
-        grid = np.geomspace(lo, r0, 2000)
-        vals = self.density(grid) * grid ** power
-        return float(np.trapezoid(vals, grid))
+    def _piece(self, p, a, b):
+        """int_a^b r^p rho(r) dr for each a <= b inside one segment."""
+        if self.interp == "linear":   # 3-point Gauss-Legendre: exact to degree 5
+            half = 0.5 * (b - a)
+            pts = (a + half)[:, None] + half[:, None] * np.array([-0.6 ** 0.5, 0.0, 0.6 ** 0.5])
+            vals = pts ** p * self.density(pts)
+            return half * (5.0 * (vals[:, 0] + vals[:, 2]) + 8.0 * vals[:, 1]) / 9.0
+        # rho = c r^k, so r^p rho = C r^(e-1): the integral is F L phi(|e| L)
+        # with L = log(b/a), F the larger of r^(p+1) rho at a and b (no power
+        # overflows) and phi(y) = (1 - e^-y) / y, which is 1 at e = 0
+        la, lb = np.log(a), np.log(b)
+        fa, fb = ((p + 1) * lr + self._log_rho(lr) for lr in (la, lb))
+        y = np.maximum(np.abs(fb - fa), 1e-300)
+        return np.exp(np.maximum(fa, fb)) * (lb - la) * (-np.expm1(-y) / y)
+
+    @cached_property
+    def _sums(self):
+        """Whole-segment integrals of r^p rho summed to each node (p = 2, 4) or on from it (p = 0)."""
+        rn = np.asarray(self.r_nodes, dtype=float)
+        seg = {p: self._piece(p, rn[:-1], rn[1:]) for p in (0, 2, 4)}
+        return {0: np.append(np.cumsum(seg[0][::-1])[::-1], 0.0),
+                **{p: np.append(0.0, np.cumsum(seg[p])) for p in (2, 4)}}
+
+    def _integral(self, p, r):
+        """int of r^p rho up to r (p = 2, 4) or on from r (p = 0), r clipped to the support."""
+        rn = np.asarray(self.r_nodes, dtype=float)
+        r = np.clip(r, rn[0], rn[-1])
+        i = np.minimum(np.searchsorted(rn, r, side="right") - 1, rn.size - 2)
+        if p == 0:
+            return self._piece(0, r, rn[i + 1]) + self._sums[0][i + 1]
+        return self._sums[p][i] + self._piece(p, rn[i], r)
 
     def second_moment(self, r0):
-        return self._moment(2, r0)
+        return float(self._integral(2, np.array([r0]))[0])
 
     def fourth_moment(self, r0):
-        return self._moment(4, r0)
+        return float(self._integral(4, np.array([r0]))[0])
 
-    def tail_mass(self, r):
-        lo, hi = self.support
-        r = max(r, lo)
-        if r >= hi:
-            return 0.0
-        grid = np.geomspace(r, hi, 2000)
-        return float(np.trapezoid(self.density(grid), grid))
+    def _tail_mass(self, r):
+        return self._integral(0, r)
 
 
 @dataclass(frozen=True)

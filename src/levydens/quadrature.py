@@ -1,11 +1,13 @@
-"""Gauss-Legendre panels, series acceleration and the decade integrals of
-the Fourier side: grid and radial inversion, the radial exponent engine
-and the ratio-limit masses.  The Laplace route (``pt0_laplace``) keeps its
-own panels, so that its p_t(0) stays a separate computation.
+"""Gauss-Legendre panels, the radial tail and the decade integrals of the
+Fourier side: grid and radial inversion, the radial exponent engine and
+the ratio-limit masses.  The Laplace route (``pt0_laplace``) keeps its own
+panels, so that its p_t(0) stays a separate computation.
 
 ``_panel_terms`` is the one Gauss-Legendre panel function: a caller lays
 out all its panel edges first and integrates them with one call of the
-integrand.
+integrand.  ``_half_period_tail`` is the one oscillatory radial tail, of
+g(u) in ``radialquad`` and of ``invert_radial``, accelerated by repeated
+averaging (Longman, Proc. Camb. Phil. Soc. 1956).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 _gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
 _gl12_x, _gl12_w = np.polynomial.legendre.leggauss(12)
-_OSC_PANELS = 240     # oscillatory panels of a radial tail before acceleration
+_OSC_PANELS = 240     # half-period panels of a radial tail before acceleration
 
 
 def _panel_terms(f, edges: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
@@ -44,6 +46,31 @@ def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         est = np.abs(s[..., -1] - prev)
         prev = s[..., -1]
     return prev, est
+
+
+def _half_period_ends(start: float, step: float) -> np.ndarray:
+    """The _OSC_PANELS + 1 ends start, start + step, ... as a running sum."""
+    ends = np.full(_OSC_PANELS + 1, step)
+    ends[0] = start
+    return np.cumsum(ends)
+
+
+def _half_period_tail(f, ends: np.ndarray, left) -> Tuple[float, float, np.ndarray]:
+    """(value, estimate, panel terms) of int f over the GL-12 panels between
+    the ``_half_period_ends``; ``left`` maps blocks of 1, 2, 4, ... ends to
+    their leftover tails.  Up to the first end whose leftover is under 1e-16
+    (or infinite, for the caller to refuse) the panels are summed exactly,
+    estimate that leftover; else all are accelerated, estimate the change."""
+    lo, size = 1, 1
+    while lo <= _OSC_PANELS:
+        for k, rest in enumerate(left(ends[lo:lo + size]).tolist(), lo):
+            if rest < 1e-16 or rest == math.inf:
+                terms = _panel_terms(f, ends[:k + 1], _gl12_x, _gl12_w)
+                return math.fsum(terms), rest, terms
+        lo, size = lo + size, 2 * size
+    terms = _panel_terms(f, ends, _gl12_x, _gl12_w)
+    value, est = _accelerated(terms)
+    return float(value), float(est), terms
 
 
 def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:

@@ -12,9 +12,7 @@ int cos(s x) (1-x^2)^{(n-3)/2} dx.  The integral is split into three regions:
   * s = u r <= 1e-3 : two-term Taylor expansion through truncated moments,
   * mid range up to s = 30 : log-spaced then half-period panels, GL-16,
   * oscillatory tail : 1 - A_n = tail mass minus an oscillatory integral,
-    summed over pi-length panels with repeated-averaging acceleration.
-
-The panel integrals and the accelerator are those of ``quadrature``.
+    ``quadrature._half_period_tail`` stopped on the profile's tail mass.
 
 Kernel evaluation here is independent of the Bessel routines in specfun, so
 exponent values obtained through this engine and through the one-dimensional
@@ -32,12 +30,10 @@ from scipy import special as _sp
 from .errors import QuadratureError
 from .measures import RadialProfile
 from .quadrature import (
-    _OSC_PANELS,
-    _accelerated,
-    _gl12_w,
-    _gl12_x,
     _gl16_w,
     _gl16_x,
+    _half_period_ends,
+    _half_period_tail,
     _panel_terms,
 )
 
@@ -111,27 +107,22 @@ class RadialQuadEngine:
         self._one_minus = one_minus if one_minus is not None else one_minus_kernel
         self._kernel = kernel if kernel is not None else sphere_avg_cos
 
-    def g(self, u: float) -> Tuple[float, float]:
-        """(value, error estimate) of int (1 - A_n(u r)) dmu(r)."""
+    def g(self, u: float) -> float:
+        """int (1 - A_n(u r)) dmu(r)."""
         if u == 0.0:
-            return 0.0, 0.0
+            return 0.0
         u = abs(float(u))
         n = self.dim
         prof = self.profile
         r_lo, r_hi = prof.support
 
         total = 0.0
-        est = 0.0
 
         # Taylor region: s = u r <= _S_TAYLOR
         r0 = min(_S_TAYLOR / u, r_hi)
         if r0 > r_lo:
-            m2 = prof.second_moment(r0)
-            m4 = prof.fourth_moment(r0)
-            k2 = 1.0 / (2.0 * n)
-            k4 = 1.0 / (8.0 * n * (n + 2.0))
-            total += k2 * u * u * m2 - k4 * u ** 4 * m4
-            est += _S_TAYLOR ** 2 * k4 * u ** 4 * m4 + 1e-16 * k2 * u * u * m2
+            total += (1.0 / (2.0 * n) * u * u * prof.second_moment(r0)
+                      - 1.0 / (8.0 * n * (n + 2.0)) * u ** 4 * prof.fourth_moment(r0))
         else:
             r0 = r_lo
 
@@ -152,44 +143,17 @@ class RadialQuadEngine:
                 edges = np.linspace(r_knee, r_mid_hi, k + 1)
                 mid += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
             total += mid
-            est += 1e-14 * abs(mid)
 
         # oscillatory tail: r > r_mid_hi
         if r_hi > r_mid_hi * (1.0 + 1e-14):
-            tail_start_mass = prof.tail_mass(r_mid_hi)
-            total += tail_start_mass
-            osc, osc_est = self._oscillatory_tail(u, r_mid_hi, r_hi)
-            total -= osc
-            est += osc_est
+            total += prof.tail_mass(r_mid_hi)
+            total -= self._oscillatory_tail(u, r_mid_hi, r_hi)
 
-        return total, est
+        return total
 
-    def _oscillatory_tail(self, u: float, r_from: float, r_hi: float) -> Tuple[float, float]:
-        """int_{r_from}^{r_hi} A_n(u r) rho(r) dr over pi-length panels."""
-        n = self.dim
-        prof = self.profile
-        f = lambda r: self._kernel(n, u * np.asarray(r)) * prof.density(np.asarray(r))
-        step = math.pi / u
-        # the panel ends and the stop first, then every panel in one call
-        edges = [r_from]
-        leftover_bound = prof.tail_mass(r_from)
-        complete = False
-        for _ in range(_OSC_PANELS):
-            edges.append(min(edges[-1] + step, r_hi))
-            if edges[-1] >= r_hi:
-                leftover_bound = 0.0
-                complete = True
-                break
-            leftover_bound = prof.tail_mass(edges[-1])
-            if leftover_bound < 1e-16:
-                complete = True
-                break
-        arr = _panel_terms(f, np.array(edges), _gl12_x, _gl12_w)
-        if complete:
-            # the panel range covers everything that matters: plain summation
-            # is exact; extrapolation would overshoot the finite sum
-            return float(np.sum(arr)), 1e-14 * float(np.sum(np.abs(arr))) + leftover_bound
-        # truncated by the panel cap with mass left over: accelerate the
-        # oscillating partial sums toward their limit
-        value, est = _accelerated(arr)
-        return float(value), float(est) + 1e-15 * leftover_bound
+    def _oscillatory_tail(self, u: float, r_from: float, r_hi: float) -> float:
+        """int_{r_from}^{r_hi} A_n(u r) rho(r) dr; the panel ends are clipped
+        at r_hi, where every profile's tail mass is 0."""
+        f = lambda r: self._kernel(self.dim, u * np.asarray(r)) * self.profile.density(np.asarray(r))
+        ends = np.minimum(_half_period_ends(r_from, math.pi / u), r_hi)
+        return _half_period_tail(f, ends, self.profile.tail_mass)[0]

@@ -155,7 +155,10 @@ def build_table(model: ModelSpec, x_max: float, x_min: float = 1e-3) -> Rearrang
     decades = math.log10(x_max / x_min)
     nodes = np.geomspace(x_min, x_max, int(decades * 16) + 2)     # 16 a decade
     if _radial_monotone_ok(model):
-        return RearrangementTable(nodes, _nu_vec(model, nodes), "radial_bisection")
+        try:
+            return RearrangementTable(nodes, _nu_vec(model, nodes), "radial_bisection")
+        except RangeError as exc:
+            raise RangeError(f"x_max={x_max:g} is out of reach: {exc}") from None
     return RearrangementTable(nodes, _counted_nu(model, nodes), "grid_count",
                               cell_size=(2.0 * _BOX0 / _CELLS[model.dim]) ** model.dim)
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import LevyDensError
 
-# the recurrence starts at order floor(z) + K + _MILLER_EXTRA: within 5e-16
-# of 40-digit values for z <= 20; 25 leaves 1.6e-13 and 20 leaves 8e-11
+# with a start of max(floor(z) + 1, K) + _MILLER_EXTRA, within 2e-16 of 40-digit
+# values for H_nu (z <= 20) and j_0..j_11 (z < 12); 25 would leave 1.6e-13, 20 8e-11
 _MILLER_EXTRA = 30
 # Hankel's 20-term expansion is within 4e-16 past z = 18
 _HANKEL_Z = 20.0
@@ -35,14 +35,14 @@ def bessel_j_orders(nu: float, K: int, z: np.ndarray) -> np.ndarray:
     The recurrence runs in q_m = (2/z)^m R_m, which needs no division by z,
     so no z down to 0 overflows:
         q_{m-1} = (nu + m) q_m - (z^2/4) q_{m+1},
-    from q_N = 1, q_{N+1} = 0 at each element's own start N = floor(z) + K +
-    _MILLER_EXTRA, so no value depends on the rest of the array.  Neumann's
-    sum sum_k (nu + 2k) Gamma(nu + k) / (k! Gamma(nu + 1)) R_{2k} = 1 (DLMF
-    10.23.15) normalises it, summed by Horner in z^2/4 as the recurrence
-    runs down."""
+    from q_N = 1, q_{N+1} = 0 at each element's own start N = max(floor(z) + 1,
+    K) + _MILLER_EXTRA, so no value depends on the rest of the array.
+    Neumann's sum sum_k (nu + 2k) Gamma(nu + k) / (k! Gamma(nu + 1)) R_{2k} =
+    1 (DLMF 10.23.15) normalises it, summed by Horner in z^2/4 as the
+    recurrence runs down."""
     z = np.asarray(z, dtype=float)
     zeta = 0.25 * z * z
-    N = z.astype(np.intp) + (K + _MILLER_EXTRA)
+    N = np.maximum(z.astype(np.intp) + 1, K) + _MILLER_EXTRA
     # the elements that start at order m are seed[bounds[m]:bounds[m + 1]]
     seed = np.argsort(N, kind="stable")
     top = int(N[seed[-1]]) if z.size else K

@@ -127,6 +127,16 @@ def test_nu_dist_rejects_non_finite_bounds(capsys, bounds, field):
     assert err.startswith("error:") and field in err
 
 
+def test_nu_dist_out_of_reach_names_x_max(capsys):
+    # tempered_stable's exponent overflows near |xi| = e^179, below the
+    # level 1e300: a typed error naming the bound, not a long walk
+    code, out, err = _run(capsys, "nu-dist", "--model", "builtin:tempered_stable",
+                          "--x-max", "1e300")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "x_max" in err
+
+
 def test_ratio_limit_subcommand(capsys):
     code, out, _ = _run(capsys, "ratio-limit", "--model", "builtin:cauchy",
                         "--delta", "1", "--x", "1")

@@ -15,6 +15,7 @@ Calls are traced, not imports: ``levy_core`` imports ``specfun`` for
 
 import ast
 import pathlib
+import re
 import sys
 
 import numpy as np
@@ -116,6 +117,15 @@ def test_gauss_legendre_tables_live_in_two_modules():
     src = pathlib.Path(quadrature.__file__).parent
     users = sorted(p.name for p in src.glob("*.py") if "leggauss(" in p.read_text())
     assert users == ["quadrature.py", "rearrangement.py"]
+
+
+def test_half_period_tail_lives_in_quadrature():
+    # one oscillatory radial tail: only quadrature knows its panel cap, its
+    # GL-12 nodes and the acceleration
+    src = pathlib.Path(quadrature.__file__).parent
+    users = sorted(p.name for p in src.glob("*.py")
+                   if re.search(r"_accelerated|_OSC_PANELS|_gl12_", p.read_text()))
+    assert users == ["quadrature.py"]
 
 
 def test_bessel_j_comes_from_specfun_alone():

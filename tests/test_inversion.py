@@ -16,12 +16,11 @@ from levydens.errors import (
     RangeError,
     UnsupportedModelError,
 )
-from levydens import inversion, specfun
+from levydens import inversion, quadrature, specfun
 from levydens.inversion import (
     _FOLD_CHUNK,
     _Zoom,
     _ZoomSums,
-    _accelerated,
     _filon_panels,
     _filon_tail,
     _fold_frequency,
@@ -38,6 +37,7 @@ from levydens.inversion import (
 )
 from levydens.levy_core import ModelSpec, builtin_model, eval_re_psi, re_psi_profile
 from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
+from levydens.quadrature import _accelerated
 
 # written by scripts/bessel_reference.py (mpmath at 40 digits)
 _BESSEL_REF = json.loads((pathlib.Path(__file__).parent / "data" / "bessel_ref.json").read_text())
@@ -872,8 +872,8 @@ def test_radial_panels_match_the_panel_loop(monkeypatch, alpha, dim, accelerated
     rs = np.linspace(0.0, 6.0, 25)
     want, want_tail = _radial_panel_loop(model, 1.0, rs)
     calls = []
-    real = inversion._accelerated
-    monkeypatch.setattr(inversion, "_accelerated",
+    real = quadrature._accelerated
+    monkeypatch.setattr(quadrature, "_accelerated",
                         lambda terms: calls.append(terms.size) or real(terms))
     f = invert_radial(model, 1.0, rs)
     assert len(calls) == accelerated

@@ -32,7 +32,7 @@ from levydens.inversion import invert_grid, pt_zero
 from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
 from levydens.quadrature import _accelerated
 from levydens.radialquad import RadialQuadEngine
-from levydens.rearrangement import nu_dist
+from levydens.rearrangement import build_table, nu_dist
 
 
 def _strip_exact(model: ModelSpec) -> ModelSpec:
@@ -164,6 +164,16 @@ def test_table_nodes_are_evaluated_once_per_model(monkeypatch):
     assert len(in_table) <= 1249 and max(in_table) == 1
 
 
+def test_unreachable_table_top_refuses_in_few_engine_calls(monkeypatch):
+    # each bracket step evaluates a distinct point once: past the 1e14 cap
+    # the walk makes one direct engine call a step, not one per table node
+    seen = _count_engine_calls(monkeypatch)
+    with pytest.raises(RangeError, match="x_max"):
+        build_table(builtin_model("tempered_stable"), 1e300)
+    past_cap = [c for (_, u), c in seen.items() if u > 1e14]
+    assert sum(past_cap) <= 100 and max(past_cap) == 1
+
+
 def test_warm_pt_zero_makes_no_engine_call(monkeypatch):
     # the table starts at 1e-12, below pt_zero's head decades
     m = builtin_model("tempered_stable")
@@ -266,8 +276,8 @@ def test_specs_built_in_python_refuse_non_finite_numbers(build, field):
 def _tail_panel_loop(engine, u, r_from, r_hi):
     """RadialQuadEngine._oscillatory_tail with one integrand call per panel:
     the sequential reference for the laid-out panels.  Returns (value,
-    estimate, whether the panels reached the end of the tail, sum of the
-    panels' magnitudes)."""
+    whether the panels reached the end of the tail, sum of the panels'
+    magnitudes)."""
     n, prof = engine.dim, engine.profile
     f = lambda r: engine._kernel(n, u * np.asarray(r)) * prof.density(np.asarray(r))
     x12, w12 = np.polynomial.legendre.leggauss(12)
@@ -284,9 +294,8 @@ def _tail_panel_loop(engine, u, r_from, r_hi):
     arr = np.asarray(terms)
     scale = float(np.sum(np.abs(arr)))
     if complete:
-        return float(np.sum(arr)), 1e-14 * scale + leftover, True, scale
-    value, est = _accelerated(arr)
-    return float(value), float(est) + 1e-15 * leftover, False, scale
+        return float(np.sum(arr)), True, scale
+    return float(_accelerated(arr)[0]), False, scale
 
 
 @pytest.mark.parametrize("name, kw, u, complete", [
@@ -301,12 +310,11 @@ def _tail_panel_loop(engine, u, r_from, r_hi):
 def test_oscillatory_tail_matches_the_panel_loop(name, kw, u, complete, route):
     engine = builtin_model(name, **kw)._engine(route)
     r_from, r_hi = 30.0 / u, engine.profile.support[1]
-    want, want_est, reached, scale = _tail_panel_loop(engine, u, r_from, r_hi)
+    want, reached, scale = _tail_panel_loop(engine, u, r_from, r_hi)
     assert reached == complete
-    got, est = engine._oscillatory_tail(u, r_from, r_hi)
+    got = engine._oscillatory_tail(u, r_from, r_hi)
     # a (P, 12) block product sums each panel's 12 node products in another
     # order than a one-row product, which moves a panel by up to ~12 eps of
     # its magnitude; in dim 3 the tail is a small difference of its panels,
     # up to 2e-14 of the tail itself, so the bound is on the panels' sum
     assert abs(got - want) <= 12.0 * np.finfo(float).eps * scale
-    assert abs(est - want_est) <= 12.0 * np.finfo(float).eps * scale

@@ -1,6 +1,7 @@
 """Jump-measure variants: geometry constants, moments, validation."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from scipy.integrate import quad
 from levydens.errors import ModelFormatError
 from levydens.measures import (
     AtomSpec,
+    GammaTypeProfile,
+    LogKernelProfile,
     MeasureSpec,
+    PowerLawProfile,
+    TableProfile,
+    TemperedPowerLawProfile,
     ball_volume,
     sphere_surface,
     stable_density_constant,
@@ -87,6 +93,74 @@ def test_table_profile_linear_variant():
     prof = MeasureSpec(variant="table", r_nodes=(1.0, 2.0),
                        rho_values=(1.0, 3.0), interp="linear").radial_profile(1)
     assert float(prof.density(np.array([1.5]))[0]) == pytest.approx(2.0)
+
+
+def test_loglog_table_integrates_its_power_law_exactly():
+    # sampled from c r^(-1-alpha), the loglog interpolant is that power law,
+    # so the tail mass and the moments counted from the first node are the
+    # closed forms of the truncated stable profile
+    c, alpha = 1.7, 1.3
+    r = np.geomspace(1e-3, 20.0, 60)
+    table = TableProfile(tuple(r), tuple(c * r ** (-1.0 - alpha)))
+    power = PowerLawProfile(c, alpha, float(r[-1]))
+    for x in np.geomspace(1.3e-3, 19.0, 23):
+        assert table.tail_mass(x) == pytest.approx(power.tail_mass(x), rel=1e-14)
+        want2 = power.second_moment(x) - power.second_moment(r[0])
+        assert table.second_moment(x) == pytest.approx(want2, rel=1e-14)
+        want4 = power.fourth_moment(x) - power.fourth_moment(r[0])
+        assert table.fourth_moment(x) == pytest.approx(want4, rel=1e-14)
+
+
+def _linear_integral(nodes, values, p, a, b):
+    """int_a^b r^p rho(r) dr of the piecewise linear rho, in exact rationals."""
+    total = Fraction(0)
+    for r0, r1, v0, v1 in zip(nodes, nodes[1:], values, values[1:]):
+        lo, hi = max(a, r0), min(b, r1)
+        if lo < hi:
+            slope = (v1 - v0) / (r1 - r0)
+            # r^p (v0 - slope r0 + slope r)
+            F = lambda r: ((v0 - slope * r0) * r ** (p + 1) / (p + 1)
+                           + slope * r ** (p + 2) / (p + 2))
+            total += F(hi) - F(lo)
+    return total
+
+
+def test_linear_table_integrates_exactly():
+    nodes = [Fraction(1, 4), Fraction(1, 2), Fraction(1), Fraction(3, 2), Fraction(3)]
+    values = [Fraction(2), Fraction(0), Fraction(1), Fraction(3), Fraction(1, 2)]
+    table = TableProfile(tuple(map(float, nodes)), tuple(map(float, values)), "linear")
+    lo, hi = nodes[0], nodes[-1]
+    for x in (Fraction(1, 4), Fraction(3, 8), Fraction(1, 2), Fraction(3, 4),
+              Fraction(5, 4), Fraction(2), Fraction(3)):
+        want0 = float(_linear_integral(nodes, values, 0, x, hi))
+        assert table.tail_mass(float(x)) == pytest.approx(want0, rel=1e-14, abs=0.0)
+        want2 = float(_linear_integral(nodes, values, 2, lo, x))
+        assert table.second_moment(float(x)) == pytest.approx(want2, rel=1e-14, abs=0.0)
+        want4 = float(_linear_integral(nodes, values, 4, lo, x))
+        assert table.fourth_moment(float(x)) == pytest.approx(want4, rel=1e-14, abs=0.0)
+    # outside the support: all the mass, or none of it
+    assert table.tail_mass(0.1) == table.tail_mass(0.25)
+    assert table.tail_mass(3.0) == table.tail_mass(7.0) == 0.0
+    assert table.second_moment(0.1) == 0.0
+
+
+@pytest.mark.parametrize("prof", [
+    PowerLawProfile(1.3, 1.5),
+    PowerLawProfile(0.8, 0.7, 2.0),
+    TemperedPowerLawProfile(1.2, 1.5, 1.0),
+    TemperedPowerLawProfile(1.2, 0.5, 2.0),
+    LogKernelProfile(),
+    GammaTypeProfile(),
+    TableProfile((0.1, 0.5, 1.0, 2.0, 3.5), (2.0, 0.0, 1.0, 3.0, 0.5), "loglog"),
+    TableProfile((0.1, 0.5, 1.0, 2.0, 3.5), (2.0, 0.0, 1.0, 3.0, 0.5), "linear"),
+], ids=lambda p: type(p).__name__)
+def test_tail_mass_on_an_array_is_its_scalar_calls(prof):
+    r = np.concatenate([[0.0, 1e-300], np.geomspace(1e-8, 1e3, 400),
+                        [0.1, 0.5, 1.0, 2.0, 3.5, math.inf]])
+    got = prof.tail_mass(r)
+    assert isinstance(prof.tail_mass(0.5), float)
+    assert np.array_equal(got, [prof.tail_mass(float(x)) for x in r])
+    assert np.array_equal(prof.tail_mass(r.reshape(2, -1)), got.reshape(2, -1))
 
 
 def test_atom_spec_validation():
