@@ -18,7 +18,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import IntegrabilityRefusal
-from .levy_core import ModelSpec, builtin_model, eval_re_psi, iso_g
+from .levy_core import ModelSpec, _re_psi_radial_fn, builtin_model, iso_g
 from .measures import MeasureSpec
 from . import asymptotics, diagnostics, inversion, ratio_limit, rearrangement, specfun
 
@@ -84,13 +84,8 @@ def criterion_radial_formula_oracle() -> Tuple[bool, str]:
                     ("truncated_stable", {})):
         for n in (1, 2, 3):
             model = builtin_model(fam, dim=n, **kw)
-            e1 = np.zeros(n)
-            for u in u_grid:
-                e1_u = e1.copy()
-                e1_u[0] = u
-                a = iso_g(model, float(u))
-                b = eval_re_psi(model, e1_u if n > 1 else u)
-                worst = max(worst, abs(a - b) / abs(b))
+            b = _re_psi_radial_fn(model)(u_grid)
+            worst = max(worst, float(np.max(np.abs(iso_g(model, u_grid) - b) / np.abs(b))))
     return worst <= 1e-6, f"max rel diff {worst:.2e} (tol 1e-6)"
 
 
@@ -145,12 +140,9 @@ def criterion_dyadic_atoms_necessity() -> Tuple[bool, str]:
     """Dyadic-atom exponent bounds and the no-density classification."""
     model = builtin_model("exa4_atoms")
     lo_c, hi_c = 1.0, 2.0 * math.pi ** 2 / 3.0
-    worst_lo, worst_hi = math.inf, 0.0
-    for m in range(1, 41):
-        xi = 2.0 * math.pi * 2.0 ** m
-        ratio = eval_re_psi(model, xi) * m       # psi / b_m with b_m = 1/m
-        worst_lo = min(worst_lo, ratio)
-        worst_hi = max(worst_hi, ratio)
+    m = np.arange(1, 41)
+    ratio = _re_psi_radial_fn(model)(2.0 * math.pi * 2.0 ** m) * m     # psi / b_m, b_m = 1/m
+    worst_lo, worst_hi = float(ratio.min()), float(ratio.max())
     verdict = diagnostics.classify(model, t_list=(1.0,))["verdict"]
     ok = worst_lo >= lo_c and worst_hi <= hi_c and \
         verdict == "no density (Re psi does not diverge)"
@@ -166,10 +158,8 @@ def criterion_alternating_atoms_split() -> Tuple[bool, str]:
     falls toward 0 under this construction; the split does not materialize.
     """
     model = builtin_model("exa5_atoms", levels=80)
-    xi_even = 2.0 * math.pi * 2.0 ** 50
-    xi_odd = 2.0 * math.pi * 2.0 ** 51
-    q_even = eval_re_psi(model, xi_even) / math.log1p(xi_even)
-    q_odd = eval_re_psi(model, xi_odd) / math.log1p(xi_odd)
+    xi = 2.0 * math.pi * 2.0 ** np.array([50.0, 51.0])      # even m, odd m
+    q_even, q_odd = (_re_psi_radial_fn(model)(xi) / np.log1p(xi)).tolist()
     ok = q_even < 0.1 and q_odd > 1e3
     return ok, f"even-m quotient {q_even:.3g} (needs <0.1), odd-m {q_odd:.3g} (needs >1e3)"
 

@@ -84,12 +84,15 @@ def _config(args, **extra) -> dict:
 
 
 def _cmd_psi(args) -> int:
-    from .levy_core import eval_psi
+    from .levy_core import _im_psi, _re_psi_radial_fn
     model = modelio.load_model(args.model)
     xi = _parse_grid(args.xi)
     if model.dim != 1:
         raise LevyDensError("the psi subcommand tabulates one-dimensional exponents")
-    vals = [eval_psi(model, [float(u)]) for u in xi]
+    if model.psi_exact_vec is not None:
+        vals = model.psi_exact_vec(xi)
+    else:
+        vals = _re_psi_radial_fn(model)(np.abs(xi)) + 1j * _im_psi(model, xi[:, None])
     payload = {"config": _config(args, xi=args.xi, digest=modelio.model_digest(model))}
     rows = [(u, v.real, v.imag) for u, v in zip(xi, vals)]
     _emit(args, payload, rows, ("xi", "re_psi", "im_psi"))

@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, _scalar_q, eval_re_psi, re_psi_profile
+from .levy_core import ModelSpec, _re_psi_rows, _scalar_q, re_psi_profile
 from .measures import ball_volume
 from . import rearrangement
 
@@ -129,8 +129,8 @@ def _re_psi_on_ray(model: ModelSpec, u: np.ndarray) -> np.ndarray:
     if model.measure.is_radial and _scalar_q(model) is not None:
         return re_psi_profile(model)(u)
     dirs = _directions(model.dim)
-    vals = np.array([[eval_re_psi(model, e * x) for x in u] for e in dirs])
-    return np.min(vals, axis=0)
+    rows = (dirs[:, None, :] * u[None, :, None]).reshape(-1, model.dim)
+    return np.min(_re_psi_rows(model, rows).reshape(dirs.shape[0], -1), axis=0)
 
 
 def hw_functional(model: ModelSpec, k_range: Tuple[int, int] = _K_DEFAULT,
@@ -150,30 +150,18 @@ def hw_functional(model: ModelSpec, k_range: Tuple[int, int] = _K_DEFAULT,
     return _make_report("hw", xi, vals, xi, threshold_compare=tc)
 
 
-def _second_moment_truncated(model: ModelSpec, eps: float) -> float:
-    """int_{|y| <= eps} |y|^2 nu(dy) for radial measures."""
-    m = model.measure
-    total = 0.0
-    prof = m.radial_profile(model.dim)
+def _radial_masses(model: ModelSpec, eps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(int_{|y| <= eps} |y|^2 nu(dy), nu(B_eps^c)) at each eps of an array,
+    for radial measures."""
+    m2, tail = np.zeros_like(eps), np.zeros_like(eps)
+    prof = model.measure.radial_profile(model.dim)
     if prof is not None:
-        total += prof.second_moment(eps)
-    for r, mass in m.radial_atoms():
-        if r <= eps:
-            total += mass * r * r
-    return total
-
-
-def _tail_mass(model: ModelSpec, eps: float) -> float:
-    """nu(B_eps^c) for radial measures."""
-    m = model.measure
-    total = 0.0
-    prof = m.radial_profile(model.dim)
-    if prof is not None:
-        total += prof.tail_mass(eps)
-    for r, mass in m.radial_atoms():
-        if r > eps:
-            total += mass
-    return total
+        m2 += eps * eps * prof.scaled_moment(2, eps)
+        tail += prof.tail_mass(eps)
+    for r, mass in model.measure.radial_atoms():
+        m2 += np.where(r <= eps, mass * r * r, 0.0)
+        tail += np.where(r > eps, mass, 0.0)
+    return m2, tail
 
 
 def kallenberg_functional(model: ModelSpec,
@@ -189,9 +177,7 @@ def kallenberg_functional(model: ModelSpec,
             "the truncated-moment functional needs dim=1 or a radial measure")
     k = _k_array(k_range)
     eps = 2.0 ** (-k.astype(float))
-    vals = np.array([
-        _second_moment_truncated(model, e) / (e * e * abs(math.log(e)))
-        for e in eps])
+    vals = _radial_masses(model, eps)[0] / (eps * eps * np.abs(np.log(eps)))
     return _make_report("kallenberg", eps, vals, 1.0 / eps)
 
 
@@ -206,7 +192,7 @@ def tail_mass_functional(model: ModelSpec,
                 "is stated for dim >= 2; dim=1 values are informational")
     k = _k_array(k_range)
     eps = 2.0 ** (-k.astype(float))
-    vals = np.array([_tail_mass(model, e) / abs(math.log(e)) for e in eps])
+    vals = _radial_masses(model, eps)[1] / np.abs(np.log(eps))
     return _make_report("tail_mass", eps, vals, 1.0 / eps, note=note)
 
 

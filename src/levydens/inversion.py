@@ -94,6 +94,7 @@ from .errors import (
 from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
+    _FOLD_CHUNK,
     _decade_piece,
     _gl16_w,
     _gl16_x,
@@ -188,7 +189,6 @@ def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
         xi *= 2.0
 
 
-_FOLD_CHUNK = 1 << 16     # samples, moments or node blocks built at once
 # samples the fold evaluates and adds per step: glibc keeps the temporaries
 # of 128 KB arrays on its heap, while 512 KB ones are trimmed off and faulted
 # back in at every step (2,816 minor faults on a nine-node stable grid, 448)
@@ -1161,12 +1161,12 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
             vals[i] = p0
             worst = max(worst, _RADIAL_ROUNDING * _EPS * p0)
             continue
-        f = lambda u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
+        f = lambda i, j, u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
         weigh = lambda terms, right: float(np.abs(terms) @ (1.0 + r * right))
         u_knee = min(1.0, 30.0 / r)
         edges = np.geomspace(1e-9, u_knee, 64)
         head = env(np.array([5e-10]))[0] * 1e-9 ** n / n   # [0, 1e-9]
-        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+        terms = _panel_terms(f, edges[None, :], _gl16_x, _gl16_w)[0]
         total = head + float(np.sum(terms))
         mag = head + weigh(terms, edges[1:])
         u_big = 30.0 / r
@@ -1181,7 +1181,7 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
                 du = min(half_period, max(0.25 * edges[-1], 1e-3))
                 edges.append(min(edges[-1] + du, u_big))
             edges = np.array(edges)
-            terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+            terms = _panel_terms(f, edges[None, :], _gl16_x, _gl16_w)[0]
             running = np.cumsum(np.concatenate(([total], terms)))[1:]
             small = env(edges[1:]) * edges[1:] ** (n - 1) < 1e-22 * np.abs(running)
             k = int(np.argmax(small)) if np.any(small) else running.size - 1
@@ -1190,13 +1190,14 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         # oscillatory tail in half periods of the Bessel kernel, stopped on
         # the envelope tail past the panel ends
         ends = _half_period_ends(u_big, math.pi / r)
-        acc, tail_est, terms = _half_period_tail(f, ends, lambda e: _tail_integral(env, n, e))
-        if math.isinf(tail_est):
+        acc, tail_est, terms = _half_period_tail(
+            f, ends[None, :], lambda i, e: _tail_integral(env, n, e))
+        if math.isinf(tail_est[0]):
             raise IntegrabilityRefusal(f"envelope tail diverges at t={t}", diagnostics={"t": t})
-        total += acc
-        mag += weigh(terms, ends[1:terms.size + 1])
+        total += acc[0]
+        mag += weigh(terms[0], ends[1:terms.shape[1] + 1])
         vals[i] = pref * total
-        worst = max(worst, pref * (tail_est + _RADIAL_ROUNDING * _EPS * mag))
+        worst = max(worst, pref * (tail_est[0] + _RADIAL_ROUNDING * _EPS * mag))
     order = np.argsort(radii)
     mass = float(sphere_surface(n) * np.trapezoid(
         vals[order] * radii[order] ** (n - 1), radii[order])) if radii.size > 1 else math.nan

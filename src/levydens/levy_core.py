@@ -9,14 +9,17 @@ so that E e^{i xi . X_t} = e^{-t psi(xi)} and Re psi >= 0.  For symmetric
 measures the compensator drops and the jump integrand reduces to
 1 - cos(y . xi).
 
-Two independent evaluation routes exist for isotropic models: eval_re_psi
-integrates the direction-averaged cosine kernel, while iso_g goes through the
-one-dimensional radial representation with the normalized Bessel kernel from
-specfun.  Their agreement is a consistency check, not a tautology.
+Two evaluation routes exist for isotropic models: eval_re_psi integrates
+the direction-averaged cosine kernel, while iso_g integrates the normalized
+Bessel kernel from specfun.  Both run ``_radial_jump`` on the same engine
+layout.  In dims 1 and 3 the two kernels are the same functions (cos s and
+sin s / s), so the routes agree bit for bit there; only in the other
+dimensions is their agreement a check of the kernels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
@@ -33,6 +36,7 @@ from .errors import (
     UnsupportedModelError,
 )
 from .measures import AtomSpec, MeasureSpec, sphere_surface
+from .quadrature import _FOLD_CHUNK
 from .radialquad import RadialQuadEngine, one_minus_kernel, sphere_avg_cos
 from . import specfun
 
@@ -116,35 +120,17 @@ class ModelSpec:
         key = ("engine", route)
         if key not in c:
             prof = self.measure.radial_profile(self.dim)
-            if prof is None:
-                c[key] = None
-            elif route == "avg":
-                c[key] = RadialQuadEngine(self.dim, prof)
-            else:
-                c[key] = RadialQuadEngine(
-                    self.dim, prof, one_minus=_one_minus_h, kernel=_h_kernel_route)
+            c[key] = None if prof is None else \
+                RadialQuadEngine(self.dim, prof, _route_kernel(self.dim, route))
         return c[key]
 
 
-def _one_minus_h(n: int, s: np.ndarray) -> np.ndarray:
-    """1 - H_{(n-2)/2}(s) via the Bessel-kernel route.
-
-    For s <= 0.5 the cancellation-free hypergeometric series is used; it is
-    the same polynomial identity either route must satisfy.
-    """
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    small = np.abs(s) <= 0.5
-    if np.any(small):
-        out[small] = one_minus_kernel(n, s[small])
-    big = ~small
-    if np.any(big):
-        out[big] = 1.0 - specfun.h_kernel_array(0.5 * n - 1.0, s[big])
-    return out
-
-
-def _h_kernel_route(n: int, s: np.ndarray) -> np.ndarray:
-    return specfun.h_kernel_array(0.5 * n - 1.0, np.asarray(s, dtype=float))
+def _route_kernel(n: int, route: str):
+    """A_n of a route: the cosine's direction average ("avg") or H_{(n-2)/2}
+    from specfun ("h")."""
+    if route == "avg":
+        return functools.partial(sphere_avg_cos, n)
+    return functools.partial(specfun.h_kernel_array, 0.5 * n - 1.0)
 
 
 def _as_xi(model: ModelSpec, xi) -> np.ndarray:
@@ -157,32 +143,47 @@ def _as_xi(model: ModelSpec, xi) -> np.ndarray:
     return arr
 
 
-def _jump_re_at_radius(model: ModelSpec, u: float, route: str = "avg") -> float:
-    """Real jump exponent of the radial part (profile + radius atoms) at |xi|=u."""
+def _radial_jump(model: ModelSpec, u: np.ndarray, route: str = "avg") -> np.ndarray:
+    """Real jump exponent of the radial part at |xi| = u over a 1-d array u:
+    the profile's engine (half of it for a one-sided measure), the radius
+    atoms and, in dim 1, the point atoms y as radius atoms |y|.  A u or a
+    value that is not finite (past the float range) raises RangeError
+    naming xi."""
     n = model.dim
     eng = model._engine(route)
-    total = 0.0 if eng is None else eng.g(u) * (0.5 if model.measure.onesided else 1.0)
-    radius_atoms = model.measure.radial_atoms()
-    if radius_atoms:
-        one_minus = one_minus_kernel if route == "avg" else _one_minus_h
-        radii = np.array([a for a, _ in radius_atoms])
-        masses = np.array([b for _, b in radius_atoms])
-        total += math.fsum(masses * one_minus(n, u * radii))
-    return total
+    out = np.zeros(u.shape) if eng is None else \
+        eng.g(u) * (0.5 if model.measure.onesided else 1.0)
+    points = model.measure.point_atoms() if n == 1 else []
+    atoms = [*model.measure.radial_atoms(), *((abs(float(y[0])), m) for y, m in points)]
+    if atoms:
+        radii, masses = np.array(atoms, dtype=float).T
+        kernel = _route_kernel(n, route)
+        step = max(1, _FOLD_CHUNK // radii.size)
+        for lo in range(0, u.size, step):
+            s = u[lo:lo + step, None] * radii
+            out[lo:lo + step] += np.einsum("ua,a->u", one_minus_kernel(n, s, kernel), masses)
+    bad = ~np.isfinite(out) | ~np.isfinite(u)
+    if np.any(bad):
+        raise RangeError(f"xi: the jump part of Re psi is not finite at |xi| = {np.min(u[bad]):g}")
+    return out
+
+
+def _re_psi_rows(model: ModelSpec, xi: np.ndarray) -> np.ndarray:
+    """Re psi at each row of xi (shape (k, dim)) via the cosine route."""
+    out = 0.5 * np.sum((xi @ model.q_matrix) * xi, axis=1)
+    u = np.hypot.reduce(np.abs(xi), axis=1)      # no square overflows
+    if model.g_exact is not None:
+        return out + np.asarray(model.g_exact(u), dtype=float)
+    out += _radial_jump(model, u)
+    if model.dim > 1:
+        for y, m in model.measure.point_atoms():
+            out += m * one_minus_kernel(1, xi @ y, np.cos)
+    return out
 
 
 def eval_re_psi(model: ModelSpec, xi) -> float:
     """Re psi(xi) >= 0 via the direction-averaged cosine route."""
-    v = _as_xi(model, xi)
-    q = model.q_matrix
-    out = 0.5 * float(v @ q @ v)
-    u = float(np.linalg.norm(v))
-    if model.g_exact is not None:
-        return out + float(model.g_exact(u))
-    out += _jump_re_at_radius(model, u)
-    for y, m in model.measure.point_atoms():
-        out += m * float(one_minus_kernel(1, np.array([float(y @ v)]))[0])
-    return out
+    return float(_re_psi_rows(model, _as_xi(model, xi)[None, :])[0])
 
 
 def eval_psi(model: ModelSpec, xi) -> complex:
@@ -251,19 +252,21 @@ def radial_tail(model: ModelSpec, r_min: float = 1e-6, r_max: float = 1e3,
     return tail
 
 
-def iso_g(model: ModelSpec, u: float) -> float:
-    """Isotropic exponent at |xi| = u via the radial Bessel-kernel route.
+def iso_g(model: ModelSpec, u):
+    """Isotropic exponent at |xi| = u via the radial Bessel-kernel route, for
+    a float u (a float is returned) or an array of them.
 
     Includes the Gaussian part, so the value matches eval_re_psi at |xi| = u.
     """
     if not model.isotropic:
         raise UnsupportedModelError("iso_g needs an isotropic model")
-    if u < 0:
+    arr = np.asarray(u, dtype=float)
+    if np.any(arr < 0):
         raise RangeError("u must be nonnegative")
-    if u == 0.0:
-        return 0.0
+    flat = arr.reshape(-1)
     q = float(model.q_matrix[0, 0])
-    return 0.5 * q * u * u + _jump_re_at_radius(model, float(u), route="h")
+    out = 0.5 * q * flat * flat + _radial_jump(model, flat, route="h")
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 def _scalar_q(model: ModelSpec) -> Optional[float]:
@@ -287,24 +290,14 @@ def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
             # adding 0 * u^2 changes no finite value; skip the pass over u
             return lambda u: np.asarray(g(np.asarray(u, float)), float)
         return lambda u: 0.5 * q * np.asarray(u, float) ** 2 + np.asarray(g(np.asarray(u, float)), float)
-    n, points = model.dim, model.measure.point_atoms()
-    if points and n > 1:
+    if model.measure.point_atoms() and model.dim > 1:
         raise UnsupportedModelError("Re psi is not a function of |xi|: field "
                                     "'measure.atoms' holds point atoms")
-    # in dim 1 a point atom (y, m) adds m (1 - cos(y u)), as the radius atom (|y|, m)
-    atoms = [*model.measure.radial_atoms(), *((abs(float(y[0])), m) for y, m in points)]
-    radii, masses = np.array(atoms, dtype=float).reshape(-1, 2).T
-    eng = model._engine("avg")
 
     def fn(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
-        vals = np.zeros_like(u)
-        for lo in range(0, u.size if atoms else 0, 1 << 12):
-            seg = u[lo:lo + (1 << 12), None]
-            vals[lo:lo + seg.size] = one_minus_kernel(n, seg * radii) @ masses
-        if eng is not None:
-            vals += np.array([eng.g(x) for x in u]) * (0.5 if model.measure.onesided else 1.0)
-        return vals + 0.5 * q * u * u
+        flat = u.reshape(-1)
+        return (0.5 * q * flat * flat + _radial_jump(model, flat)).reshape(u.shape)
     return fn
 
 
@@ -405,7 +398,7 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
         while walk.size:
             try:
                 short[walk] = fn(np.exp(v_hi[walk[:1]])) < x[walk]
-            except OverflowError:
+            except RangeError:
                 raise RangeError(
                     f"threshold {float(np.min(x[walk])):g} not reached below "
                     f"|xi| = e^{float(np.max(v_hi[walk])):.0f}, where Re psi overflows"
@@ -462,7 +455,7 @@ def quadratic_majorant(model: ModelSpec, R: float) -> Tuple[float, float]:
     d = 0.0
     prof = model.measure.radial_profile(n)
     if prof is not None:
-        m2 = prof.second_moment(R)
+        m2 = R * R * float(prof.scaled_moment(2, np.array([float(R)]))[0])
         if not math.isfinite(m2):
             raise RangeError("second moment inside the ball diverges")
         scale = 0.5 if model.measure.onesided else 1.0

@@ -6,7 +6,8 @@ For a rotation-invariant density n(|y|) in R^n this marginal has density
 rho(r) = omega_{n-1} r^{n-1} n(r), with omega_{n-1} = 2 pi^{n/2} / Gamma(n/2).
 
 Each built-in family exposes closed forms for its truncated second and fourth
-moments and its tail mass; the quadrature engine leans on these to tame the
+moments (over r0^p, so that no power underflows), its tail mass and its
+density in s = u r; the quadrature engine leans on these to tame the
 singularity at 0 and the oscillatory tail.
 """
 
@@ -55,6 +56,18 @@ def _upper_incomplete_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return (_upper_incomplete_gamma(a + 1.0, x) - x ** a * np.exp(-x)) / a
 
 
+def _scaled_lower_gamma(a: float, x: np.ndarray) -> np.ndarray:
+    """gamma(a, x) / x^a for a > 0 over an array x > 0; up to x = 1 the
+    series sum_k (-x)^k / (k! (a + k)), within 3e-16, so no x^a underflows."""
+    small = np.minimum(x, 1.0)
+    term, acc = np.ones_like(small), np.full_like(small, 1.0 / a)
+    for k in range(1, 22):
+        term = term * -small / k
+        acc = acc + term / (a + k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return np.where(x <= 1.0, acc, _sp.gammainc(a, x) * math.gamma(a) / x ** a)
+
+
 class RadialProfile:
     """Base class for radial marginal measures on (0, inf)."""
 
@@ -64,10 +77,13 @@ class RadialProfile:
     def density(self, r: np.ndarray) -> np.ndarray:  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def second_moment(self, r0: float) -> float:  # int_0^{r0} r^2 rho(r) dr
-        raise NotImplementedError
+    def s_density(self, s: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """rho(s / u) / u, the density in s = u r (u broadcasts against s)."""
+        return self.density(s / u) / u
 
-    def fourth_moment(self, r0: float) -> float:  # int_0^{r0} r^4 rho(r) dr
+    def scaled_moment(self, p: int, r0: np.ndarray) -> np.ndarray:
+        """int_0^{r0} (r / r0)^p rho(r) dr for p = 2, 4 over an array r0 > 0:
+        the truncated moment over r0^p, formed with no r0^p to underflow."""
         raise NotImplementedError
 
     def tail_mass(self, r):
@@ -82,7 +98,7 @@ class RadialProfile:
 
     def levy_integrability_check(self) -> float:
         """int (1 ^ r^2) dmu, which must be finite for a Levy measure."""
-        return self.second_moment(1.0) + self.tail_mass(1.0)
+        return float(self.scaled_moment(2, np.ones(1))[0]) + self.tail_mass(1.0)
 
 
 @dataclass(frozen=True)
@@ -103,13 +119,12 @@ class PowerLawProfile(RadialProfile):
     def density(self, r):
         return self.c * np.asarray(r, dtype=float) ** (-1.0 - self.alpha)
 
-    def second_moment(self, r0):
-        r0 = min(r0, self.r_max)
-        return self.c * r0 ** (2.0 - self.alpha) / (2.0 - self.alpha)
+    def s_density(self, s, u):
+        return self.c * s ** (-1.0 - self.alpha) * u ** self.alpha
 
-    def fourth_moment(self, r0):
-        r0 = min(r0, self.r_max)
-        return self.c * r0 ** (4.0 - self.alpha) / (4.0 - self.alpha)
+    def scaled_moment(self, p, r0):
+        r = np.minimum(r0, self.r_max)
+        return self.c * (r / r0) ** p * r ** -self.alpha / (p - self.alpha)
 
     def _tail_mass(self, r):
         # r_max ** -alpha is 0.0 for an infinite r_max
@@ -119,15 +134,16 @@ class PowerLawProfile(RadialProfile):
 
 @dataclass(frozen=True)
 class TemperedPowerLawProfile(RadialProfile):
-    """rho(r) = c r^{-1-alpha} e^{-lam r}: tempered stable."""
+    """rho(r) = c r^{-1-alpha} e^{-lam r}: tempered stable, and at alpha = 0
+    (c = 2, lam = 1) the symmetrized Gamma subordinator measure 2 e^{-r} / r."""
 
     c: float
     alpha: float
     lam: float
 
     def __post_init__(self):
-        if not 0.0 < self.alpha < 2.0:
-            raise ModelFormatError(f"alpha={self.alpha} outside (0, 2)")
+        if not 0.0 <= self.alpha < 2.0:
+            raise ModelFormatError(f"alpha={self.alpha} outside [0, 2)")
         if self.lam <= 0:
             raise ModelFormatError("tempering rate must be positive")
         object.__setattr__(self, "support", (0.0, math.inf))
@@ -136,13 +152,11 @@ class TemperedPowerLawProfile(RadialProfile):
         r = np.asarray(r, dtype=float)
         return self.c * r ** (-1.0 - self.alpha) * np.exp(-self.lam * r)
 
-    def second_moment(self, r0):
-        a = 2.0 - self.alpha
-        return self.c * self.lam ** (-a) * _sp.gammainc(a, self.lam * r0) * math.gamma(a)
+    def s_density(self, s, u):
+        return self.c * s ** (-1.0 - self.alpha) * u ** self.alpha * np.exp(-self.lam * s / u)
 
-    def fourth_moment(self, r0):
-        a = 4.0 - self.alpha
-        return self.c * self.lam ** (-a) * _sp.gammainc(a, self.lam * r0) * math.gamma(a)
+    def scaled_moment(self, p, r0):
+        return self.c * r0 ** -self.alpha * _scaled_lower_gamma(p - self.alpha, self.lam * r0)
 
     def _tail_mass(self, r):
         out = self.c * self.lam ** self.alpha * _upper_incomplete_gamma(-self.alpha, self.lam * r)
@@ -160,39 +174,13 @@ class LogKernelProfile(RadialProfile):
         r = np.asarray(r, dtype=float)
         return 2.0 * np.log(1.0 / r) / r
 
-    def second_moment(self, r0):
-        r0 = min(r0, 1.0)
-        return -r0 * r0 * math.log(r0) + 0.5 * r0 * r0
-
-    def fourth_moment(self, r0):
-        r0 = min(r0, 1.0)
-        return -0.5 * r0 ** 4 * math.log(r0) + 0.125 * r0 ** 4
+    def scaled_moment(self, p, r0):
+        # int_0^r x^p 2 ln(1/x) / x dx = (2 / p) r^p (1 / p - ln r)
+        r = np.minimum(r0, 1.0)
+        return (r / r0) ** p * (2.0 / p) * (1.0 / p - np.log(r))
 
     def _tail_mass(self, r):
         return np.where(r >= 1.0, 0.0, np.where(r <= 0.0, math.inf, np.log(r) ** 2))
-
-
-@dataclass(frozen=True)
-class GammaTypeProfile(RadialProfile):
-    """rho(r) = 2 e^{-r} / r: symmetrized Gamma subordinator measure."""
-
-    def __post_init__(self):
-        object.__setattr__(self, "support", (0.0, math.inf))
-
-    def density(self, r):
-        r = np.asarray(r, dtype=float)
-        return 2.0 * np.exp(-r) / r
-
-    def second_moment(self, r0):
-        # 2 (1 - e^{-r}(1+r)) written to avoid cancellation at small r
-        return 2.0 * (-math.expm1(-r0) - r0 * math.exp(-r0))
-
-    def fourth_moment(self, r0):
-        # 2 * lower incomplete gamma(4, r0)
-        return 2.0 * _sp.gammainc(4.0, r0) * 6.0
-
-    def _tail_mass(self, r):
-        return np.where(r <= 0.0, math.inf, 2.0 * _sp.exp1(r))
 
 
 @dataclass(frozen=True)
@@ -266,11 +254,11 @@ class TableProfile(RadialProfile):
             return self._piece(0, r, rn[i + 1]) + self._sums[0][i + 1]
         return self._sums[p][i] + self._piece(p, rn[i], r)
 
-    def second_moment(self, r0):
-        return float(self._integral(2, np.array([r0]))[0])
-
-    def fourth_moment(self, r0):
-        return float(self._integral(4, np.array([r0]))[0])
+    def scaled_moment(self, p, r0):
+        out = self._integral(p, r0)
+        for _ in range(p):      # r0^p itself may underflow
+            out = out / r0
+        return out
 
     def _tail_mass(self, r):
         return self._integral(0, r)
@@ -359,7 +347,7 @@ class MeasureSpec:
             if self.family == "gamma_type":
                 if dim != 1:
                     raise UnsupportedModelError("gamma_type family is defined in dimension 1")
-                return GammaTypeProfile()
+                return TemperedPowerLawProfile(c=2.0, alpha=0.0, lam=1.0)
         if self.variant == "table":
             return TableProfile(tuple(self.r_nodes), tuple(self.rho_values), self.interp)
         return None

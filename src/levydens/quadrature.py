@@ -3,11 +3,13 @@ Fourier side: grid and radial inversion, the radial exponent engine and
 the ratio-limit masses.  The Laplace route (``pt0_laplace``) keeps its own
 panels, so that its p_t(0) stays a separate computation.
 
-``_panel_terms`` is the one Gauss-Legendre panel function: a caller lays
-out all its panel edges first and integrates them with one call of the
-integrand.  ``_half_period_tail`` is the one oscillatory radial tail, of
-g(u) in ``radialquad`` and of ``invert_radial``, accelerated by repeated
-averaging (Longman, Proc. Camb. Phil. Soc. 1956).
+``_panel_terms`` is the one Gauss-Legendre panel function: a caller lays out
+rows of panel ends first (one row for each u of the exponent engine, one for
+each stretch of ``invert_radial``), and their nodes go to the integrand in
+blocks of at most ``_FOLD_CHUNK``.
+``_half_period_tail`` is the one oscillatory radial tail, of g(u) in
+``radialquad`` and of ``invert_radial``, each row stopped on its own or
+accelerated by repeated averaging (Longman, Proc. Camb. Phil. Soc. 1956).
 """
 
 from __future__ import annotations
@@ -20,18 +22,7 @@ import numpy as np
 _gl16_x, _gl16_w = np.polynomial.legendre.leggauss(16)
 _gl12_x, _gl12_w = np.polynomial.legendre.leggauss(12)
 _OSC_PANELS = 240     # half-period panels of a radial tail before acceleration
-
-
-def _panel_terms(f, edges: np.ndarray, gx: np.ndarray, gw: np.ndarray) -> np.ndarray:
-    """GL integrals of f over the panels between consecutive edges, from one
-    call of f on all their nodes."""
-    a = edges[:-1]
-    b = edges[1:]
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    pts = mid[:, None] + half[:, None] * gx[None, :]
-    vals = f(pts.reshape(-1)).reshape(pts.shape)
-    return half * (vals @ gw)
+_FOLD_CHUNK = 1 << 16     # samples, moments or nodes built at once
 
 
 def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -50,27 +41,66 @@ def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 def _half_period_ends(start: float, step: float) -> np.ndarray:
     """The _OSC_PANELS + 1 ends start, start + step, ... as a running sum."""
-    ends = np.full(_OSC_PANELS + 1, step)
-    ends[0] = start
-    return np.cumsum(ends)
+    return np.cumsum(np.r_[start, np.full(_OSC_PANELS, step)])
 
 
-def _half_period_tail(f, ends: np.ndarray, left) -> Tuple[float, float, np.ndarray]:
-    """(value, estimate, panel terms) of int f over the GL-12 panels between
-    the ``_half_period_ends``; ``left`` maps blocks of 1, 2, 4, ... ends to
-    their leftover tails.  Up to the first end whose leftover is under 1e-16
-    (or infinite, for the caller to refuse) the panels are summed exactly,
-    estimate that leftover; else all are accelerated, estimate the change."""
+def _panel_terms(f, ends: np.ndarray, gx: np.ndarray, gw: np.ndarray,
+                 count=None) -> np.ndarray:
+    """GL integrals over each row's panels between consecutive ``ends``
+    (shape (rows, P + 1)) as a (rows, P) array: 0 for a panel of no width,
+    and with ``count`` for panels from the row's count on.  f(i, j, x) is the
+    integrand of rows i at the nodes x (shape (pairs, gx.size)) of their
+    panels j, called on at most ``_FOLD_CHUNK`` nodes at a time.  Each panel
+    sums its own nodes (einsum's loop, unlike a BLAS product, takes every
+    row alike), so no term depends on the other rows."""
+    P = ends.shape[1] - 1
+    a, b = ends[:, :-1].ravel(), ends[:, 1:].ravel()
+    keep = b > a
+    if count is not None:
+        keep &= (np.arange(P) < count[:, None]).ravel()
+    pairs = np.flatnonzero(keep)
+    out = np.zeros(a.size)
+    step = max(1, _FOLD_CHUNK // gx.size)
+    for lo in range(0, pairs.size, step):
+        k = pairs[lo:lo + step]
+        half = 0.5 * (b[k] - a[k])
+        x = (0.5 * (a[k] + b[k]))[:, None] + half[:, None] * gx
+        out[k] = half * np.einsum("pn,n->p", f(k // P, k % P, x), gw)
+    return out.reshape(-1, P)
+
+
+def _half_period_tail(f, ends: np.ndarray, left) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(values, estimates, panel terms) of each row's int f over the GL-12
+    panels between its ``_half_period_ends`` (shape (rows, _OSC_PANELS + 1)),
+    the terms as far as the longest row reaches; f is as in ``_panel_terms``,
+    and left(i, e) gives the leftover tails of rows i past their ends e,
+    tried in blocks of 1, 2, 4, ... ends.  Up to a row's first end whose
+    leftover is under 1e-16 (or infinite, for the caller to refuse) its
+    panels are summed exactly, estimate that leftover; a row with no such
+    end accelerates all its panels, estimate the change."""
+    rows = ends.shape[0]
+    count = np.full(rows, _OSC_PANELS)
+    est = np.zeros(rows)
+    stop = np.zeros(rows, dtype=bool)
+    live = np.arange(rows)
     lo, size = 1, 1
-    while lo <= _OSC_PANELS:
-        for k, rest in enumerate(left(ends[lo:lo + size]).tolist(), lo):
-            if rest < 1e-16 or rest == math.inf:
-                terms = _panel_terms(f, ends[:k + 1], _gl12_x, _gl12_w)
-                return math.fsum(terms), rest, terms
+    while lo <= _OSC_PANELS and live.size:
+        rest = left(live, ends[live, lo:lo + size])
+        hit = (rest < 1e-16) | (rest == math.inf)
+        done = hit.any(axis=1)
+        if done.any():
+            k = hit[done].argmax(axis=1)
+            row = live[done]
+            count[row], est[row], stop[row] = lo + k, rest[done][np.arange(k.size), k], True
+            live = live[~done]
         lo, size = lo + size, 2 * size
-    terms = _panel_terms(f, ends, _gl12_x, _gl12_w)
-    value, est = _accelerated(terms)
-    return float(value), float(est), terms
+    reach = int(count.max()) if stop.all() else _OSC_PANELS
+    terms = _panel_terms(f, ends[:, :reach + 1], _gl12_x, _gl12_w, count)
+    value = np.empty(rows)
+    value[stop] = list(map(math.fsum, terms[stop].tolist()))
+    if not np.all(stop):
+        value[~stop], est[~stop] = _accelerated(terms[~stop])
+    return value, est, terms
 
 
 def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:

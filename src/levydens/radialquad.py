@@ -7,29 +7,35 @@ the jump part evaluated at |xi| = u is
 
 where A_n(s) is the average of cos(s e . x) over directions x on S^{n-1}:
 A_1 = cos s, A_3 = sin(s)/s, and for other n a Gauss-Jacobi quadrature of
-int cos(s x) (1-x^2)^{(n-3)/2} dx.  The integral is split into three regions:
+int cos(s x) (1-x^2)^{(n-3)/2} dx.  It is also H_{(n-2)/2}(s), the kernel
+that ``iso_g`` takes from specfun; the engine takes either one.
 
-  * s = u r <= 1e-3 : two-term Taylor expansion through truncated moments,
-  * mid range up to s = 30 : log-spaced then half-period panels, GL-16,
-  * oscillatory tail : 1 - A_n = tail mass minus an oscillatory integral,
-    ``quadrature._half_period_tail`` stopped on the profile's tail mass.
+The engine integrates in s = u r, on one panel layout for every u:
 
-Kernel evaluation here is independent of the Bessel routines in specfun, so
-exponent values obtained through this engine and through the one-dimensional
-profile representation constitute genuinely separate computations.
+  * s <= 1e-3 : two-term Taylor expansion through the truncated moments
+    over r0^p, which stays finite where u^4 would overflow,
+  * [1e-3, 30] : 24 geometric GL-16 panels up to s = 1, then 19 linear ones,
+  * oscillatory tail : 1 - A_n = tail mass minus int A_n, over the pi-panels
+    of ``quadrature._half_period_tail``, each u stopped on its own tail mass.
+
+The kernel is evaluated once per engine on each whole panel's nodes; only
+the panels that a bounded support [u r_lo, u r_hi] cuts, at most two a u,
+get their own nodes.  Below s = 0.5, 1 - A_n is the series that both kernels
+share.  No u's value depends on the other u of its call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 from scipy import special as _sp
 
-from .errors import QuadratureError
 from .measures import RadialProfile
 from .quadrature import (
+    _FOLD_CHUNK,
     _gl16_w,
     _gl16_x,
     _half_period_ends,
@@ -40,21 +46,12 @@ from .quadrature import (
 _S_TAYLOR = 1e-3
 _S_BIG = 30.0
 
-# direction-average quadrature nodes per dimension (n >= 2, n != 3)
-_kernel_nodes: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _get_kernel_nodes(n: int, m: int = 800) -> Tuple[np.ndarray, np.ndarray]:
-    nodes = _kernel_nodes.get(n)
-    if nodes is None:
-        if n == 2:
-            x, w = _sp.roots_chebyt(m)
-        else:
-            x, w = _sp.roots_jacobi(m, 0.5 * (n - 3), 0.5 * (n - 3))
-        w = w / w.sum()
-        nodes = (x, w)
-        _kernel_nodes[n] = nodes
-    return nodes
+    """Direction-average quadrature nodes and weights for n >= 2, n != 3."""
+    x, w = _sp.roots_chebyt(m) if n == 2 else _sp.roots_jacobi(m, 0.5 * (n - 3), 0.5 * (n - 3))
+    return x, w / w.sum()
 
 
 def sphere_avg_cos(n: int, s: np.ndarray) -> np.ndarray:
@@ -63,18 +60,21 @@ def sphere_avg_cos(n: int, s: np.ndarray) -> np.ndarray:
     if n == 1:
         return np.cos(s)
     if n == 3:
-        out = np.ones_like(s)
-        nz = s != 0
-        out[nz] = np.sin(s[nz]) / s[nz]
-        return out
+        with np.errstate(invalid="ignore"):
+            return np.where(s == 0.0, 1.0, np.sin(s) / s)
     x, w = _get_kernel_nodes(n)
     flat = s.reshape(-1)
-    out = np.cos(flat[:, None] * x[None, :]) @ w
+    out = np.empty(flat.size)
+    step = max(1, _FOLD_CHUNK // x.size)
+    for lo in range(0, flat.size, step):
+        # einsum sums each s's row alike, so no value depends on the rest of the array
+        out[lo:lo + step] = np.einsum("sn,n->s", np.cos(flat[lo:lo + step, None] * x), w)
     return out.reshape(s.shape)
 
 
-def one_minus_kernel(n: int, s: np.ndarray) -> np.ndarray:
-    """1 - A_n(s), with a series branch avoiding cancellation for small s."""
+def one_minus_kernel(n: int, s: np.ndarray, kernel) -> np.ndarray:
+    """1 - kernel(s) for a kernel equal to A_n, with the series of 1 - A_n
+    for |s| <= 0.5, where the difference would cancel."""
     s = np.asarray(s, dtype=float)
     out = np.empty_like(s)
     small = np.abs(s) <= 0.5
@@ -90,70 +90,76 @@ def one_minus_kernel(n: int, s: np.ndarray) -> np.ndarray:
         out[small] = acc
     big = ~small
     if np.any(big):
-        out[big] = 1.0 - sphere_avg_cos(n, s[big])
+        out[big] = 1.0 - kernel(s[big])
     return out
 
 
+class _Layout:
+    """Panel ends in s, with the kernel on each whole panel's nodes, filled
+    in the first time the panel is whole for some u."""
+
+    def __init__(self, ends: np.ndarray, kern):
+        self.ends, self.kern = ends, kern
+        self.known = np.zeros(ends.size - 1, dtype=bool)
+        self.vals = None
+
+    def integrand(self, profile: RadialProfile, u, s_lo, s_hi):
+        """f(i, j, x) of ``quadrature._panel_terms``: kernel times density in
+        s of the u of rows i at the nodes x of panel j; a panel that
+        [s_lo, s_hi] cuts takes the kernel on its own nodes."""
+        def f(i, j, x):
+            if self.vals is None:
+                self.vals = np.empty((self.known.size, x.shape[1]))
+            whole = (self.ends[j] >= s_lo[i]) & (self.ends[j + 1] <= s_hi[i])
+            new = whole & ~self.known[j]
+            if np.any(new):
+                first, at = np.unique(j[new], return_index=True)
+                self.vals[first] = self.kern(x[new][at])
+                self.known[first] = True
+            k = self.vals[j]
+            if not np.all(whole):
+                k[~whole] = self.kern(x[~whole])
+            return k * profile.s_density(x, u[i, None])
+        return f
+
+
 class RadialQuadEngine:
-    """Evaluates g(u) for one radial profile in a fixed dimension."""
+    """Evaluates g(u) for one radial profile, dimension and kernel A_n."""
 
-    def __init__(self, dim: int, profile: RadialProfile, one_minus=None, kernel=None):
-        """Optional ``one_minus``/``kernel`` callables (n, s)->array replace
-        the built-in direction-average kernel, e.g. by a Bessel-based one."""
-        if dim < 1:
-            raise QuadratureError(f"dimension {dim} invalid")
-        self.dim = dim
-        self.profile = profile
-        self._one_minus = one_minus if one_minus is not None else one_minus_kernel
-        self._kernel = kernel if kernel is not None else sphere_avg_cos
+    def __init__(self, dim: int, profile: RadialProfile, kernel):
+        self.dim, self.profile = dim, profile
+        mid = np.concatenate((np.geomspace(_S_TAYLOR, 1.0, 25), np.linspace(1.0, _S_BIG, 20)[1:]))
+        self._mid = _Layout(mid, lambda s: one_minus_kernel(dim, s, kernel))
+        self._tail = _Layout(_half_period_ends(_S_BIG, math.pi), kernel)
 
-    def g(self, u: float) -> float:
-        """int (1 - A_n(u r)) dmu(r)."""
-        if u == 0.0:
-            return 0.0
-        u = abs(float(u))
-        n = self.dim
-        prof = self.profile
+    def g(self, u: np.ndarray) -> np.ndarray:
+        """int (1 - A_n(u r)) dmu(r) at each u of a 1-d array."""
+        n, prof = self.dim, self.profile
         r_lo, r_hi = prof.support
+        u = np.abs(np.asarray(u, dtype=float))
+        out = np.zeros_like(u)
+        v = u[u > 0.0]
+        s_lo, s_hi = v * r_lo, v * r_hi
+        with np.errstate(over="ignore", invalid="ignore"):
+            r0 = np.minimum(_S_TAYLOR / v, r_hi)
+            s0 = v * r0
+            total = np.where(r0 > r_lo, s0 * s0 * prof.scaled_moment(2, r0) / (2.0 * n)
+                             - s0 ** 4 * prof.scaled_moment(4, r0) / (8.0 * n * (n + 2.0)), 0.0)
+            ends = np.clip(self._mid.ends, s_lo[:, None], s_hi[:, None])
+            f = self._mid.integrand(prof, v, s_lo, s_hi)
+            total += np.sum(_panel_terms(f, ends, _gl16_x, _gl16_w), axis=1)
+            tail = np.flatnonzero(s_hi > _S_BIG)
+            if tail.size:
+                w = v[tail]
+                total[tail] += prof.tail_mass(_S_BIG / w) - \
+                    self._tail_rows(w, s_lo[tail], s_hi[tail])
+        out[u > 0.0] = total
+        return out
 
-        total = 0.0
-
-        # Taylor region: s = u r <= _S_TAYLOR
-        r0 = min(_S_TAYLOR / u, r_hi)
-        if r0 > r_lo:
-            total += (1.0 / (2.0 * n) * u * u * prof.second_moment(r0)
-                      - 1.0 / (8.0 * n * (n + 2.0)) * u ** 4 * prof.fourth_moment(r0))
-        else:
-            r0 = r_lo
-
-        # mid region: s in [u r0, _S_BIG], smooth panels
-        r_mid_hi = min(r_hi, _S_BIG / u)
-        if r_mid_hi > r0:
-            f = lambda r: self._one_minus(n, u * np.asarray(r)) * prof.density(np.asarray(r))
-            r_knee = min(max(1.0 / u, r0), r_mid_hi)
-            mid = 0.0
-            if r_knee > r0 * (1.0 + 1e-14):
-                decades = math.log10(r_knee / r0)
-                k = max(2, int(math.ceil(8.0 * decades)))
-                edges = np.geomspace(r0, r_knee, k + 1)
-                mid += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
-            if r_mid_hi > r_knee * (1.0 + 1e-14):
-                step = 0.5 * math.pi / u
-                k = max(1, int(math.ceil((r_mid_hi - r_knee) / step)))
-                edges = np.linspace(r_knee, r_mid_hi, k + 1)
-                mid += float(np.sum(_panel_terms(f, edges, _gl16_x, _gl16_w)))
-            total += mid
-
-        # oscillatory tail: r > r_mid_hi
-        if r_hi > r_mid_hi * (1.0 + 1e-14):
-            total += prof.tail_mass(r_mid_hi)
-            total -= self._oscillatory_tail(u, r_mid_hi, r_hi)
-
-        return total
-
-    def _oscillatory_tail(self, u: float, r_from: float, r_hi: float) -> float:
-        """int_{r_from}^{r_hi} A_n(u r) rho(r) dr; the panel ends are clipped
-        at r_hi, where every profile's tail mass is 0."""
-        f = lambda r: self._kernel(self.dim, u * np.asarray(r)) * self.profile.density(np.asarray(r))
-        ends = np.minimum(_half_period_ends(r_from, math.pi / u), r_hi)
-        return _half_period_tail(f, ends, self.profile.tail_mass)[0]
+    def _tail_rows(self, u: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
+        """int A_n(s) rho(s / u) ds / u from s = 30 to s_hi at each u, over
+        the half-period panels, stopped on the tail mass past their ends."""
+        prof = self.profile
+        ends = np.clip(self._tail.ends, s_lo[:, None], s_hi[:, None])
+        left = lambda i, e: np.where(e >= s_hi[i, None], 0.0, prof.tail_mass(e / u[i, None]))
+        return _half_period_tail(self._tail.integrand(prof, u, s_lo, s_hi), ends, left)[0]

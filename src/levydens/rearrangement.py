@@ -37,8 +37,8 @@ from .levy_core import (
     ModelSpec,
     _level_log_radius,
     _radial_monotone_ok,
+    _re_psi_rows,
     _scalar_q,
-    eval_re_psi,
     re_psi_profile,
 )
 from .measures import ball_volume
@@ -94,7 +94,7 @@ def _build_shell(model: ModelSpec, k: int) -> _Shell:
     if model.measure.is_radial and _scalar_q(model) is not None:
         vals = re_psi_profile(model)(xi[0] if n == 1 else np.hypot(*xi))
     else:
-        vals = np.array([eval_re_psi(model, p) for p in np.stack(xi, axis=-1)])
+        vals = _re_psi_rows(model, np.stack(xi, axis=-1))
     edge = float(np.min(vals[ring[keep] >= N // 2 - N // 100]))
     return _Shell(np.sort(vals), h ** n, edge)
 

@@ -31,6 +31,39 @@ def test_psi_csv_output(capsys):
     assert float(last[1]) == pytest.approx(4.0)
 
 
+def _psi_rows(out):
+    return [[float(v) for v in ln.split(",")] for ln in out.splitlines()
+            if ln and not ln.startswith("#") and ln[0] in "-0123456789"]
+
+
+@pytest.mark.parametrize("name", ["tempered_stable", "gamma", "exa3_atoms"])
+def test_psi_rows_are_eval_psi(capsys, name):
+    # one array pass on the engine, not the exponent table: each row is
+    # eval_psi at its node
+    from levydens.levy_core import eval_psi
+    code, out, _ = _run(capsys, "psi", "--model", f"builtin:{name}", "--xi", "-20:20:0.37")
+    assert code == 0
+    m = builtin_model(name)
+    for xi, re, im in _psi_rows(out):
+        want = eval_psi(m, xi)
+        assert abs(complex(re, im) - want) <= 4e-16 * abs(want)
+
+
+@pytest.mark.parametrize("grid", ["1e100:2e100:1e100", "1e200:2e200:1e200"])
+def test_psi_far_out_is_finite(capsys, grid):
+    code, out, err = _run(capsys, "psi", "--model", "builtin:tempered_stable", "--xi", grid)
+    assert code == 0 and err == ""
+    rows = _psi_rows(out)
+    assert len(rows) == 2 and all(math.isfinite(re) for _, re, _ in rows)
+
+
+def test_psi_past_the_float_range_names_xi(capsys):
+    code, out, err = _run(capsys, "psi", "--model", "builtin:tempered_stable",
+                          "--xi", "1e250:2e250:1e250")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "xi" in err
+
+
 def test_density_hits_zero_node_exactly(capsys):
     code, out, _ = _run(capsys, "density", "--model", "builtin:gaussian",
                         "--t", "1", "--grid", "-2:2:0.5")
@@ -128,10 +161,10 @@ def test_nu_dist_rejects_non_finite_bounds(capsys, bounds, field):
 
 
 def test_nu_dist_out_of_reach_names_x_max(capsys):
-    # tempered_stable's exponent overflows near |xi| = e^179, below the
-    # level 1e300: a typed error naming the bound, not a long walk
+    # tempered_stable's engine overflows near |xi| = 4e200 (Re psi ~ 6e300),
+    # below the level 1e305: a typed error naming the bound
     code, out, err = _run(capsys, "nu-dist", "--model", "builtin:tempered_stable",
-                          "--x-max", "1e300")
+                          "--x-max", "1e305")
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "x_max" in err

@@ -140,11 +140,13 @@ def test_exponent_table_is_history_free(name):
 
 
 def _count_engine_calls(monkeypatch):
+    """Count each u element that an engine evaluates, by engine and u."""
     seen = collections.Counter()
     real = RadialQuadEngine.g
 
     def counted(self, u):
-        seen[id(self), u] += 1
+        for x in np.ravel(u).tolist():
+            seen[id(self), x] += 1
         return real(self, u)
     monkeypatch.setattr(RadialQuadEngine, "g", counted)
     return seen
@@ -166,12 +168,16 @@ def test_table_nodes_are_evaluated_once_per_model(monkeypatch):
 
 def test_unreachable_table_top_refuses_in_few_engine_calls(monkeypatch):
     # each bracket step evaluates a distinct point once: past the 1e14 cap
-    # the walk makes one direct engine call a step, not one per table node
+    # the walk makes one direct engine call a step (u = 8^k), not one per
+    # table node, up to the engine's overflow near |xi| = 4e200, below the
+    # level 1e305
     seen = _count_engine_calls(monkeypatch)
     with pytest.raises(RangeError, match="x_max"):
-        build_table(builtin_model("tempered_stable"), 1e300)
-    past_cap = [c for (_, u), c in seen.items() if u > 1e14]
-    assert sum(past_cap) <= 100 and max(past_cap) == 1
+        build_table(builtin_model("tempered_stable"), 1e305)
+    past_cap = {u: c for (_, u), c in seen.items() if u > 1e14}
+    steps = np.log(list(past_cap)) / math.log(8.0)
+    assert max(past_cap.values()) == 1 and np.allclose(steps, np.round(steps), atol=1e-9)
+    assert len(past_cap) <= math.ceil(math.log(4.5e200 / 1e14, 8.0)) + 1
 
 
 def test_warm_pt_zero_makes_no_engine_call(monkeypatch):
@@ -273,21 +279,23 @@ def test_specs_built_in_python_refuse_non_finite_numbers(build, field):
     assert exc_info.value.field == field
 
 
-def _tail_panel_loop(engine, u, r_from, r_hi):
-    """RadialQuadEngine._oscillatory_tail with one integrand call per panel:
-    the sequential reference for the laid-out panels.  Returns (value,
-    whether the panels reached the end of the tail, sum of the panels'
-    magnitudes)."""
-    n, prof = engine.dim, engine.profile
-    f = lambda r: engine._kernel(n, u * np.asarray(r)) * prof.density(np.asarray(r))
+def _tail_panel_loop(engine, u, route):
+    """The engine's oscillatory tail, int A_n(s) rho(s / u) ds / u from
+    s = 30, with one integrand call per pi-panel: the sequential reference
+    for the laid-out rows.  Returns (value, whether the panels reached the
+    end of the tail, sum of the panels' magnitudes)."""
+    prof = engine.profile
+    kernel = levy_core._route_kernel(engine.dim, route)
+    f = lambda s: kernel(s) * prof.s_density(s, u)
+    s_hi = u * prof.support[1]
     x12, w12 = np.polynomial.legendre.leggauss(12)
-    terms, r, leftover, complete = [], r_from, 0.0, False
+    terms, s, leftover, complete = [], 30.0, 0.0, False
     for _ in range(240):
-        r_next = min(r + math.pi / u, r_hi)
-        mid, half = 0.5 * (r + r_next), 0.5 * (r_next - r)
+        s_next = min(s + math.pi, s_hi)
+        mid, half = 0.5 * (s + s_next), 0.5 * (s_next - s)
         terms.append(half * float(np.dot(w12, f(mid + half * x12))))
-        r = r_next
-        leftover = 0.0 if r >= r_hi else prof.tail_mass(r)
+        s = s_next
+        leftover = 0.0 if s >= s_hi else prof.tail_mass(s / u)
         if leftover < 1e-16:
             complete = True
             break
@@ -309,12 +317,82 @@ def _tail_panel_loop(engine, u, r_from, r_hi):
 @pytest.mark.parametrize("route", ["avg", "h"])
 def test_oscillatory_tail_matches_the_panel_loop(name, kw, u, complete, route):
     engine = builtin_model(name, **kw)._engine(route)
-    r_from, r_hi = 30.0 / u, engine.profile.support[1]
-    want, reached, scale = _tail_panel_loop(engine, u, r_from, r_hi)
+    want, reached, scale = _tail_panel_loop(engine, u, route)
     assert reached == complete
-    got = engine._oscillatory_tail(u, r_from, r_hi)
-    # a (P, 12) block product sums each panel's 12 node products in another
-    # order than a one-row product, which moves a panel by up to ~12 eps of
+    v = np.array([u])
+    got = engine._tail_rows(v, v * engine.profile.support[0], v * engine.profile.support[1])[0]
+    # a block of panels sums each panel's 12 node products in another order
+    # than a one-row dot product, which moves a panel by up to ~12 eps of
     # its magnitude; in dim 3 the tail is a small difference of its panels,
     # up to 2e-14 of the tail itself, so the bound is on the panels' sum
     assert abs(got - want) <= 12.0 * np.finfo(float).eps * scale
+
+
+_U_ORACLE = np.geomspace(1e-3, 1e9, 41)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+def test_stable_engine_meets_its_oracle(alpha, dim):
+    # both kernels by quadrature against psi = u^alpha, from the Taylor
+    # region (u = 1e-3) to the accelerated tails (u = 1e9)
+    m = _strip_exact(builtin_model("stable", alpha=alpha, dim=dim))
+    want = _U_ORACLE ** alpha
+    np.testing.assert_allclose(levy_core._re_psi_radial_fn(m)(_U_ORACLE), want, rtol=1e-13)
+    np.testing.assert_allclose(iso_g(m, _U_ORACLE), want, rtol=1e-13)
+
+
+def test_sym_gamma_engine_meets_log1p():
+    # the Taylor moments gamma(p, r0) / r0^p come from their series, with no
+    # cancellation at small r0
+    m = _strip_exact(builtin_model("sym_gamma"))
+    got = levy_core._re_psi_radial_fn(m)(_U_ORACLE)
+    np.testing.assert_allclose(got, np.log1p(_U_ORACLE ** 2), rtol=1e-11)
+
+
+def _table_model():
+    r = np.geomspace(1e-3, 10.0, 40)
+    rho = r ** -2.2 * np.exp(-r) * (1.0 + 0.3 * np.sin(3.0 * np.log(r)))
+    return ModelSpec(1, (0.0,), ((0.0,),), MeasureSpec(
+        variant="table", r_nodes=tuple(r), rho_values=tuple(rho)), isotropic=True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: builtin_model("tempered_stable", dim=2),
+    lambda: builtin_model("truncated_stable", dim=3),
+    lambda: builtin_model("exa2_logkernel"),
+    _table_model,                        # the support cuts panels at both ends
+], ids=["tempered_stable-d2", "truncated_stable-d3", "exa2_logkernel", "table"])
+@pytest.mark.parametrize("route", ["avg", "h"])
+def test_engine_values_are_batch_independent(build, route):
+    # no u's value depends on the other u of its call, nor on which call
+    # first evaluated the kernel on a panel
+    u = np.geomspace(1e-3, 1e9, 41)
+    alone = build()._engine(route)
+    single = [alone.g(u[i:i + 1])[0] for i in reversed(range(u.size))][::-1]
+    assert np.array_equal(build()._engine(route).g(u), single)
+
+
+def test_dim2_table_evaluates_the_kernel_once_per_node(monkeypatch):
+    # the direction average's 800-node sum runs once per engine on each
+    # layout node (3,568 for an unbounded support), not once per u
+    sizes = []
+    real = levy_core.sphere_avg_cos
+    monkeypatch.setattr(levy_core, "sphere_avg_cos",
+                        lambda n, s: sizes.append(np.size(s)) or real(n, s))
+    re_psi_profile(builtin_model("tempered_stable", dim=2), 1e9)
+    assert 0 < sum(sizes) <= 4000
+
+
+def test_engine_exponent_stays_finite_far_out():
+    # the Taylor region takes its moments over r0^p, so no u^4 overflows;
+    # far out the tempering no longer shows and Re psi = u^1.5
+    m = builtin_model("tempered_stable")
+    u = np.geomspace(1e78, 1e200, 13)
+    got = [eval_psi(m, x) for x in u]
+    assert all(v.imag == 0.0 for v in got)
+    np.testing.assert_allclose([v.real for v in got], u ** 1.5, rtol=1e-13)
+    # past the float range, or at a NaN: a typed error naming the frequency
+    for xi in (1e250, math.nan):
+        with pytest.raises(RangeError, match="xi"):
+            eval_psi(m, xi)
