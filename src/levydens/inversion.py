@@ -96,6 +96,7 @@ from .measures import sphere_surface
 from .quadrature import (
     _FOLD_CHUNK,
     _decade_piece,
+    _env_power,
     _gl16_w,
     _gl16_x,
     _half_period_ends,
@@ -1125,18 +1126,20 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     """p_t(|x|) for isotropic models in any dimension via the radial formula.
 
     p_t(r) = (2 pi)^{-n} omega_{n-1} int_0^inf e^{-t g(u^2)} u^{n-1}
-             H_{(n-2)/2}(u r) du, over 64 geometric GL-16 panels up to
-    min(1, 30/r), GL-16 panels of width min(pi/(2r), max(u/4, 1e-3)) up to
-    30/r, then ``quadrature._half_period_tail``'s GL-12 panels, stopped on
-    the envelope tail past their ends (an infinite one refuses).  Each
-    of the three stretches lays out its panels first and evaluates them with
-    one integrand call, so a nonzero radius makes at most three.
+             H_{(n-2)/2}(u r) du, with the head [0, a], a = min(1e-9,
+    u_knee / 2), taken in closed form, then 64 geometric GL-16 panels up to
+    u_knee = min(1, 30/r), GL-16 panels of width min(pi/(2r), max(u/4, 1e-3))
+    up to 30/r, then ``quadrature._half_period_tail``'s GL-12 panels, stopped
+    on the envelope tail past their ends (an infinite one refuses).  Each
+    nonzero radius is a row of each of the three stretches, which lay out
+    their panels first and evaluate them with one integrand call for all
+    rows (one per ``_FOLD_CHUNK`` nodes), so a call makes at most three.
 
     ``tail_bound`` is the largest over the radii of the envelope tail left
-    over plus a rounding part, 8 eps sum_j |T_j| (1 + r u_j) over the panel
-    terms T_j with right edges u_j (8 eps p_t(0) at r = 0): a GL-16 panel
-    rounds within 8 eps of its magnitude, and a node's rounding moves the
-    kernel's phase by eps u r.
+    over, the head's error (1 - env(a)) a^n / n, and a rounding part,
+    8 eps sum_j |T_j| (1 + r u_j) over the panel terms T_j with right edges
+    u_j (8 eps p_t(0) at r = 0): a GL-16 panel rounds within 8 eps of its
+    magnitude, and a node's rounding moves the kernel's phase by eps u r.
     """
     if not model.isotropic:
         raise UnsupportedModelError("invert_radial needs an isotropic model")
@@ -1149,55 +1152,58 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     pref = sphere_surface(n) / (2.0 * math.pi) ** n
 
     radii = np.asarray(radii, dtype=float)
-    if np.any(radii < 0):
-        raise RangeError("radii must be nonnegative")
+    if radii.ndim != 1 or not np.all((radii >= 0.0) & (radii < math.inf)):
+        raise RangeError("radii must be a 1-d array of finite nonnegative numbers (field 'radii')")
     vals = np.empty_like(radii)
     worst = 0.0
-    p0 = None
-    for i, r in enumerate(radii):
-        if r == 0.0:
-            if p0 is None:
-                p0 = pt_zero(model, t)
-            vals[i] = p0
-            worst = max(worst, _RADIAL_ROUNDING * _EPS * p0)
-            continue
-        f = lambda i, j, u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
-        weigh = lambda terms, right: float(np.abs(terms) @ (1.0 + r * right))
-        u_knee = min(1.0, 30.0 / r)
-        edges = np.geomspace(1e-9, u_knee, 64)
-        head = env(np.array([5e-10]))[0] * 1e-9 ** n / n   # [0, 1e-9]
-        terms = _panel_terms(f, edges[None, :], _gl16_x, _gl16_w)[0]
-        total = head + float(np.sum(terms))
-        mag = head + weigh(terms, edges[1:])
-        u_big = 30.0 / r
-        if u_big > u_knee:
-            # panel width capped both by the kernel half-period and by a
-            # geometric-growth rule that keeps the envelope resolved; the
-            # march stops at the first edge where the envelope falls under
-            # 1e-22 of the running total
-            half_period = 0.5 * math.pi / r
-            edges = [u_knee]
-            while edges[-1] < u_big:
-                du = min(half_period, max(0.25 * edges[-1], 1e-3))
-                edges.append(min(edges[-1] + du, u_big))
-            edges = np.array(edges)
-            terms = _panel_terms(f, edges[None, :], _gl16_x, _gl16_w)[0]
-            running = np.cumsum(np.concatenate(([total], terms)))[1:]
-            small = env(edges[1:]) * edges[1:] ** (n - 1) < 1e-22 * np.abs(running)
-            k = int(np.argmax(small)) if np.any(small) else running.size - 1
-            total, u_big = float(running[k]), float(edges[k + 1])
-            mag += weigh(terms[:k + 1], edges[1:k + 2])
+    zero = radii == 0.0
+    if np.any(zero):
+        vals[zero] = pt_zero(model, t)
+        worst = _RADIAL_ROUNDING * _EPS * vals[zero][0]
+    r = radii[~zero]
+    if r.size:
+        f = lambda i, j, u: _env_power(env, u, n - 1) * specfun.h_kernel_array(nu, u * r[i, None])
+        weigh = lambda terms, right: np.einsum("ij,ij->i", np.abs(terms), 1.0 + r[:, None] * right)
+        u_knee = np.minimum(1.0, 30.0 / r)
+        # [0, a] as env(a / 2) int_0^a u^{n-1} H_nu(u r) du = env(a / 2) a^n / n
+        # H_{nu+1}(a r), off by at most (1 - env(a)) a^n / n; H_{nu+1} rounds
+        # to 1 up to a r = 1e-8
+        a = np.minimum(1e-9, 0.5 * u_knee)
+        head = env(0.5 * a) * a ** n / n
+        cut = a * r > 1e-8
+        head[cut] *= specfun.h_kernel_array(nu + 1.0, a[cut] * r[cut])
+        edges = np.geomspace(a, u_knee, 64, axis=1)
+        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+        total = head + np.sum(terms, axis=1)
+        mag = np.abs(head) + weigh(terms, edges[:, 1:])
+        # panel width capped both by the kernel half-period and by a
+        # geometric-growth rule that keeps the envelope resolved, stepped for
+        # all rows at once (at least one step; a row at 30/r adds panels of no
+        # width); each row stops at its first edge where the envelope falls
+        # under 1e-22 of its running total
+        u_big, half_period = 30.0 / r, 0.5 * math.pi / r
+        edges = [u_knee]
+        while len(edges) == 1 or np.any(edges[-1] < u_big):
+            du = np.minimum(half_period, np.maximum(0.25 * edges[-1], 1e-3))
+            edges.append(np.minimum(edges[-1] + du, u_big))
+        edges = np.stack(edges, axis=1)
+        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+        running = np.cumsum(np.concatenate((total[:, None], terms), axis=1), axis=1)[:, 1:]
+        small = _env_power(env, edges[:, 1:], n - 1) < 1e-22 * np.abs(running)
+        k = np.where(small.any(axis=1), small.argmax(axis=1), running.shape[1] - 1)
+        total, u_big = running[np.arange(r.size), k], edges[np.arange(r.size), k + 1]
+        mag += weigh(np.where(np.arange(terms.shape[1]) <= k[:, None], terms, 0.0), edges[:, 1:])
         # oscillatory tail in half periods of the Bessel kernel, stopped on
         # the envelope tail past the panel ends
         ends = _half_period_ends(u_big, math.pi / r)
         acc, tail_est, terms = _half_period_tail(
-            f, ends[None, :], lambda i, e: _tail_integral(env, n, e))
-        if math.isinf(tail_est[0]):
+            f, ends, lambda i, e: _tail_integral(env, n, e))
+        if np.any(np.isinf(tail_est)):
             raise IntegrabilityRefusal(f"envelope tail diverges at t={t}", diagnostics={"t": t})
-        total += acc[0]
-        mag += weigh(terms[0], ends[1:terms.shape[1] + 1])
-        vals[i] = pref * total
-        worst = max(worst, pref * (tail_est[0] + _RADIAL_ROUNDING * _EPS * mag))
+        vals[~zero] = pref * (total + acc)
+        mag += weigh(terms, ends[:, 1:terms.shape[1] + 1])
+        bound = tail_est + _RADIAL_ROUNDING * _EPS * mag + (1.0 - env(a)) * a ** n / n
+        worst = max(worst, pref * float(np.max(bound)))
     order = np.argsort(radii)
     mass = float(sphere_surface(n) * np.trapezoid(
         vals[order] * radii[order] ** (n - 1), radii[order])) if radii.size > 1 else math.nan

@@ -5,8 +5,8 @@ panels, so that its p_t(0) stays a separate computation.
 
 ``_panel_terms`` is the one Gauss-Legendre panel function: a caller lays out
 rows of panel ends first (one row for each u of the exponent engine, one for
-each stretch of ``invert_radial``), and their nodes go to the integrand in
-blocks of at most ``_FOLD_CHUNK``.
+each radius of a stretch of ``invert_radial``), and their nodes go to the
+integrand in blocks of at most ``_FOLD_CHUNK``.
 ``_half_period_tail`` is the one oscillatory radial tail, of g(u) in
 ``radialquad`` and of ``invert_radial``, each row stopped on its own or
 accelerated by repeated averaging (Longman, Proc. Camb. Phil. Soc. 1956).
@@ -39,9 +39,13 @@ def _accelerated(terms: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return prev, est
 
 
-def _half_period_ends(start: float, step: float) -> np.ndarray:
-    """The _OSC_PANELS + 1 ends start, start + step, ... as a running sum."""
-    return np.cumsum(np.r_[start, np.full(_OSC_PANELS, step)])
+def _half_period_ends(start, step) -> np.ndarray:
+    """The _OSC_PANELS + 1 ends start, start + step, ... as a running sum:
+    one row for each start and step of equal-shape arrays, or one 1-d row
+    for floats."""
+    start, step = np.broadcast_arrays(np.asarray(start, dtype=float), np.asarray(step, dtype=float))
+    steps = np.repeat(step[..., None], _OSC_PANELS, axis=-1)
+    return np.cumsum(np.concatenate((start[..., None], steps), axis=-1), axis=-1)
 
 
 def _panel_terms(f, ends: np.ndarray, gx: np.ndarray, gw: np.ndarray,
@@ -103,6 +107,14 @@ def _half_period_tail(f, ends: np.ndarray, left) -> Tuple[np.ndarray, np.ndarray
     return value, est, terms
 
 
+def _env_power(env, u: np.ndarray, p: int) -> np.ndarray:
+    """env(u) u^p, 0 where env(u) is 0, also past the overflow of u^p."""
+    e = env(u)
+    out = e * u ** p
+    out[e == 0.0] = 0.0
+    return out
+
+
 def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:
     """GL quadrature of env(u) u^{n-1} du over [u_lo, 10 u_lo] for each lower
     limit, log substitution, ``panels`` GL-16 panels a decade; one env call
@@ -114,8 +126,7 @@ def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:
     mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
     half = 0.5 * np.diff(edges, axis=-1)
     pts = mid[..., None] + half[..., None] * _gl16_x
-    u = np.exp(pts.reshape(-1))
-    vals = (env(u) * u ** n).reshape(pts.shape)
+    vals = _env_power(env, np.exp(pts.reshape(-1)), n).reshape(pts.shape)
     return np.sum(half * (vals @ _gl16_w), axis=-1)
 
 

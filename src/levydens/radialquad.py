@@ -16,7 +16,8 @@ The engine integrates in s = u r, on one panel layout for every u:
     over r0^p, which stays finite where u^4 would overflow,
   * [1e-3, 30] : 24 geometric GL-16 panels up to s = 1, then 19 linear ones,
   * oscillatory tail : 1 - A_n = tail mass minus int A_n, over the pi-panels
-    of ``quadrature._half_period_tail``, each u stopped on its own tail mass.
+    of ``quadrature._half_period_tail`` from max(30, u r_lo), each u stopped
+    on its own tail mass.
 
 The kernel is evaluated once per engine on each whole panel's nodes; only
 the panels that a bounded support [u r_lo, u r_hi] cuts, at most two a u,
@@ -158,8 +159,11 @@ class RadialQuadEngine:
 
     def _tail_rows(self, u: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray) -> np.ndarray:
         """int A_n(s) rho(s / u) ds / u from s = 30 to s_hi at each u, over
-        the half-period panels, stopped on the tail mass past their ends."""
+        the half-period panels from max(30, s_lo), stopped on the tail mass
+        past their ends.  A row that starts past 30 has panels of its own,
+        none of them the layout's whole panels."""
         prof = self.profile
-        ends = np.clip(self._tail.ends, s_lo[:, None], s_hi[:, None])
+        ends = np.minimum(_half_period_ends(np.maximum(_S_BIG, s_lo), math.pi), s_hi[:, None])
         left = lambda i, e: np.where(e >= s_hi[i, None], 0.0, prof.tail_mass(e / u[i, None]))
-        return _half_period_tail(self._tail.integrand(prof, u, s_lo, s_hi), ends, left)[0]
+        f = self._tail.integrand(prof, u, np.where(s_lo > _S_BIG, np.inf, s_lo), s_hi)
+        return _half_period_tail(f, ends, left)[0]

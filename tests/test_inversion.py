@@ -822,8 +822,10 @@ def _radial_panel_loop(model, t, radii):
             continue
         f = lambda u: env(u) * u ** (n - 1) * specfun.h_kernel_array(nu, u * r)
         u_knee = min(1.0, 30.0 / r)
-        total = mag = env(np.array([5e-10]))[0] * 1e-9 ** n / n
-        value, size = _panel_sum(f, np.geomspace(1e-9, u_knee, 64), x16, w16, r)
+        a = min(1e-9, 0.5 * u_knee)
+        total = env(np.array([0.5 * a]))[0] * a ** n / n * specfun.h_kernel(nu + 1.0, a * r)
+        mag, head_err = abs(total), (1.0 - env(np.array([a]))[0]) * a ** n / n
+        value, size = _panel_sum(f, np.geomspace(a, u_knee, 64), x16, w16, r)
         total, mag = total + value, mag + size
         u = u_big = 30.0 / r
         if u_big > u_knee:
@@ -849,7 +851,7 @@ def _radial_panel_loop(model, t, radii):
             total += acc
         pref = sphere_surface(n) / (2.0 * math.pi) ** n
         vals.append(pref * total)
-        worst = max(worst, pref * (tail_est + 8.0 * np.finfo(float).eps * mag))
+        worst = max(worst, pref * (tail_est + 8.0 * np.finfo(float).eps * mag + head_err))
     return np.array(vals), worst
 
 
@@ -866,20 +868,21 @@ def test_radial_matches_closed_form(family, dim):
                                                      (1.5, 3, 0)])
 def test_radial_panels_match_the_panel_loop(monkeypatch, alpha, dim, accelerated):
     # the slowly decaying stable envelopes take the accelerated branch on all
-    # but the smallest radii; a (P, k) block product rounds unlike P one-row
-    # products, so the values agree to rounding, not bit for bit
+    # but the smallest radii, each a row of one `_accelerated` call; a (P, k)
+    # block product rounds unlike P one-row products, so the values agree to
+    # rounding, not bit for bit
     model = builtin_model("stable", alpha=alpha, dim=dim)
     rs = np.linspace(0.0, 6.0, 25)
     want, want_tail = _radial_panel_loop(model, 1.0, rs)
-    calls = []
+    rows = []
     real = quadrature._accelerated
     monkeypatch.setattr(quadrature, "_accelerated",
-                        lambda terms: calls.append(terms.size) or real(terms))
+                        lambda terms: rows.append(terms.shape[0]) or real(terms))
     f = invert_radial(model, 1.0, rs)
-    assert len(calls) == accelerated
+    assert sum(rows) == accelerated
     assert np.max(np.abs(f.values - want)) <= 1e-15 * np.max(np.abs(want))
     # the rounding part sums the panel magnitudes in another order
-    assert f.tail_bound == pytest.approx(want_tail, rel=1e-13)
+    assert f.tail_bound == pytest.approx(want_tail, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("family, dim, t", [
@@ -895,13 +898,56 @@ def test_radial_error_within_tail_bound(family, dim, t):
     assert np.max(np.abs(f.values - want)) <= f.tail_bound
 
 
-def test_radial_makes_three_kernel_calls_a_radius(monkeypatch):
+def test_radial_query_makes_one_kernel_call_a_stretch(monkeypatch):
+    # every radius is a row of the head, the mid march and the half-period
+    # tail, one integrand call each; the heads [0, a] take H_{nu+1} in one
+    # more call
     calls = []
     real = specfun.h_kernel_array
     monkeypatch.setattr(specfun, "h_kernel_array",
-                        lambda nu, z: calls.append(z.size) or real(nu, z))
+                        lambda nu, z: calls.append(nu) or real(nu, z))
     rs = np.linspace(0.0, 4.0, 17)
     for name, dim in (("cauchy", 3), ("gaussian", 2), ("stable", 1)):
         calls.clear()
         invert_radial(builtin_model(name, dim=dim), 1.0, rs)
-        assert 2 * 16 <= len(calls) <= 3 * 16
+        nu = 0.5 * dim - 1.0
+        assert calls.count(nu) <= 3 and calls.count(nu + 1.0) == 1 and len(calls) <= 4
+
+
+@pytest.mark.parametrize("name, kw, dim", [
+    ("cauchy", {}, 3), ("gaussian", {}, 2), ("stable", {"alpha": 0.3}, 2),
+    ("stable", {"alpha": 1.5}, 1),
+])
+def test_radial_values_are_batch_independent(name, kw, dim):
+    # no radius's value depends on the other radii of its call: the panel
+    # sums are einsum's, which takes every row alike; stable 0.3 accelerates
+    model = builtin_model(name, dim=dim, **kw)
+    rs = np.r_[np.linspace(0.0, 6.0, 25), 40.0, 1e3, 1e11]
+    alone = [invert_radial(model, 1.0, rs[i:i + 1]).values[0] for i in range(rs.size)]
+    assert np.array_equal(invert_radial(model, 1.0, rs).values, alone)
+
+
+_FAR_RADII = (1e3, 1e5, 1e6, 1e7, 1e8, 1e10, 1e11, 1e14)
+
+
+@pytest.mark.parametrize("family, dim, radii", [
+    *[(family, dim, [r]) for family, dim in (("cauchy", 1), ("cauchy", 2), ("cauchy", 3),
+                                             ("gaussian", 2), ("gaussian", 3))
+      for r in _FAR_RADII],
+    # the mid march passes u = 1e154, where u^2 overflows and the envelope is 0
+    *[(family, dim, [1e-200]) for family in ("cauchy", "gaussian") for dim in (2, 3)],
+    ("cauchy", 2, [0.0, math.nan]), ("cauchy", 2, [1.0, math.inf]), ("cauchy", 2, [[0.0, 1.0]]),
+])
+def test_radial_extreme_radii_meet_their_bound(family, dim, radii):
+    # the head [0, a] takes H_{nu+1}(a r), with a = min(1e-9, u_knee / 2),
+    # and its envelope spread is in the bound; a radius that is not a
+    # finite nonnegative number of a 1-d array is a typed error
+    model = builtin_model(family, dim=dim)
+    rs = np.asarray(radii, dtype=float)
+    if rs.ndim != 1 or not np.all(np.isfinite(rs)):
+        with pytest.raises(RangeError, match="radii"):
+            invert_radial(model, 1.0, radii)
+        return
+    f = invert_radial(model, 1.0, rs)
+    want = closed_form(family, 1.0, np.array([rs[0]] + [0.0] * (dim - 1)), dim=dim)
+    assert abs(f.values[0] - want) <= f.tail_bound

@@ -357,6 +357,21 @@ def _table_model():
         variant="table", r_nodes=tuple(r), rho_values=tuple(rho)), isotropic=True)
 
 
+@pytest.mark.parametrize("u", [5e5, 1e6])
+def test_table_tail_starts_at_the_support(u):
+    # u r_lo > 30: the half-period panels start at the support, not in the
+    # empty gap below it, which from u r_lo = 30 + 240 pi they never crossed;
+    # the reference integrates the interpolant segment by segment
+    prof = _table_model().measure.radial_profile(1)
+    dens = lambda r: float(prof.density(np.array([r]))[0])
+    r = prof.r_nodes
+    want = math.fsum(quad(dens, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                     - quad(dens, a, b, weight="cos", wvar=u, epsabs=0.0, epsrel=1e-13,
+                            limit=400)[0] for a, b in zip(r[:-1], r[1:]))
+    got = _table_model()._engine("h").g(np.array([u]))[0]
+    assert got == pytest.approx(want, rel=1e-6, abs=0.0)
+
+
 @pytest.mark.parametrize("build", [
     lambda: builtin_model("tempered_stable", dim=2),
     lambda: builtin_model("truncated_stable", dim=3),
