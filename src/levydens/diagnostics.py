@@ -31,7 +31,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, _re_psi_rows, _scalar_q, re_psi_profile
+from .levy_core import ModelSpec, _radial_breach, _re_psi_rows, re_psi_profile
 from .measures import ball_volume
 from . import rearrangement
 
@@ -126,7 +126,7 @@ def _directions(n: int) -> np.ndarray:
 
 def _re_psi_on_ray(model: ModelSpec, u: np.ndarray) -> np.ndarray:
     """min over the probe directions of Re psi at radius u (liminf proxy)."""
-    if model.measure.is_radial and _scalar_q(model) is not None:
+    if not _radial_breach(model):
         return re_psi_profile(model)(u)
     dirs = _directions(model.dim)
     rows = (dirs[:, None, :] * u[None, :, None]).reshape(-1, model.dim)

@@ -91,7 +91,7 @@ from .errors import (
     RangeError,
     UnsupportedModelError,
 )
-from .levy_core import ModelSpec, _im_psi, _scalar_q, re_psi_profile
+from .levy_core import ModelSpec, _im_psi, _isotropy_breach, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
     _FOLD_CHUNK,
@@ -129,28 +129,6 @@ class DensityField:
     mass: float
     tail_bound: float
     imag_residue: float = 0.0
-
-    def to_csv(self, path, metadata: Optional[dict] = None) -> None:
-        meta = {"t": self.t, "mass": self.mass, "tail_bound": self.tail_bound}
-        if metadata:
-            meta.update(metadata)
-        with open(path, "w") as fh:
-            for k, v in meta.items():
-                fh.write(f"# {k}={v}\n")
-            if self.kind == "radial":
-                fh.write("r,p\n")
-                for r, p in zip(self.nodes[0], self.values):
-                    fh.write(f"{r!r},{p!r}\n")
-            elif self.dim == 1:
-                fh.write("x,p\n")
-                for x, p in zip(self.nodes[0], self.values):
-                    fh.write(f"{x!r},{p!r}\n")
-            else:
-                fh.write("x,y,p\n")
-                xs, ys = self.nodes
-                for i, x in enumerate(xs):
-                    for j, y in enumerate(ys):
-                        fh.write(f"{x!r},{y!r},{self.values[i, j]!r}\n")
 
 
 def _uniform_step(x: np.ndarray) -> float:
@@ -806,7 +784,7 @@ def _integrand_1d(model: ModelSpec, t: float, x: np.ndarray, hx: float,
     """The integrand at time t and its window for the grid x of step hx.
     The window search runs for every route, so a non-integrable e^{-t Re psi}
     raises IntegrabilityRefusal here."""
-    sym = not (model.measure.onesided or model.measure.point_atoms() or any(model.drift))
+    sym = not _isotropy_breach(model)
     profile = re_psi_profile(model)
 
     if weight is None:
@@ -1034,10 +1012,9 @@ def _invert_2d(model: ModelSpec, t: float, grid) -> DensityField:
     ys = np.asarray(grid[1], dtype=float)
     hx = _uniform_step(xs)
     hy = _uniform_step(ys)
-    if not model.measure.is_radial or any(model.drift) or _scalar_q(model) is None:
-        raise UnsupportedModelError(
-            "two-dimensional inversion needs a symmetric radial model: a radial "
-            "measure, no drift and a gaussian matrix q I")
+    why = _isotropy_breach(model)
+    if why:
+        raise UnsupportedModelError(f"two-dimensional inversion needs an isotropic model: {why}")
     profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     Fr = env
@@ -1106,8 +1083,6 @@ def pt_zero(model: ModelSpec, t: float) -> float:
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
-    if n > 1 and not model.measure.is_radial:
-        raise UnsupportedModelError("pt_zero needs a radial exponent for dim > 1")
     profile = re_psi_profile(model)
     env = lambda u: np.exp(-t * profile(u))
     tail_all = _tail_integral(env, n, 1e-8)
@@ -1123,7 +1098,8 @@ _RADIAL_ROUNDING = 8.0     # a 16-node dot product rounds within 8 eps of its ma
 
 
 def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> DensityField:
-    """p_t(|x|) for isotropic models in any dimension via the radial formula.
+    """p_t(|x|) for an isotropic triplet in any dimension via the radial
+    formula; the triplet decides, the ``isotropic`` field is only checked.
 
     p_t(r) = (2 pi)^{-n} omega_{n-1} int_0^inf e^{-t g(u^2)} u^{n-1}
              H_{(n-2)/2}(u r) du, with the head [0, a], a = min(1e-9,
@@ -1141,8 +1117,9 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     u_j (8 eps p_t(0) at r = 0): a GL-16 panel rounds within 8 eps of its
     magnitude, and a node's rounding moves the kernel's phase by eps u r.
     """
-    if not model.isotropic:
-        raise UnsupportedModelError("invert_radial needs an isotropic model")
+    why = _isotropy_breach(model)
+    if why:
+        raise UnsupportedModelError(f"invert_radial needs an isotropic model: {why}")
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
@@ -1162,9 +1139,12 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         worst = _RADIAL_ROUNDING * _EPS * vals[zero][0]
     r = radii[~zero]
     if r.size:
+        # 30/r overflows below 1e-300: such radii take the panels of 1e-300,
+        # narrower than their kernel's half periods
+        lay = np.maximum(r, 1e-300)
         f = lambda i, j, u: _env_power(env, u, n - 1) * specfun.h_kernel_array(nu, u * r[i, None])
         weigh = lambda terms, right: np.einsum("ij,ij->i", np.abs(terms), 1.0 + r[:, None] * right)
-        u_knee = np.minimum(1.0, 30.0 / r)
+        u_knee = np.minimum(1.0, 30.0 / lay)
         # [0, a] as env(a / 2) int_0^a u^{n-1} H_nu(u r) du = env(a / 2) a^n / n
         # H_{nu+1}(a r), off by at most (1 - env(a)) a^n / n; H_{nu+1} rounds
         # to 1 up to a r = 1e-8
@@ -1181,7 +1161,7 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         # all rows at once (at least one step; a row at 30/r adds panels of no
         # width); each row stops at its first edge where the envelope falls
         # under 1e-22 of its running total
-        u_big, half_period = 30.0 / r, 0.5 * math.pi / r
+        u_big, half_period = 30.0 / lay, 0.5 * math.pi / lay
         edges = [u_knee]
         while len(edges) == 1 or np.any(edges[-1] < u_big):
             du = np.minimum(half_period, np.maximum(0.25 * edges[-1], 1e-3))
@@ -1195,7 +1175,7 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         mag += weigh(np.where(np.arange(terms.shape[1]) <= k[:, None], terms, 0.0), edges[:, 1:])
         # oscillatory tail in half periods of the Bessel kernel, stopped on
         # the envelope tail past the panel ends
-        ends = _half_period_ends(u_big, math.pi / r)
+        ends = _half_period_ends(u_big, math.pi / lay)
         acc, tail_est, terms = _half_period_tail(
             f, ends, lambda i, e: _tail_integral(env, n, e))
         if np.any(np.isinf(tail_est)):

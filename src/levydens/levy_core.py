@@ -83,14 +83,10 @@ class ModelSpec:
             raise ModelFormatError("gaussian matrix is not symmetric", field="gaussian")
         if q.size and np.min(np.linalg.eigvalsh(q)) < -1e-10:
             raise ModelFormatError("gaussian matrix has a negative eigenvalue", field="gaussian")
-        if self.isotropic:
-            if any(c != 0.0 for c in self.drift):
-                raise ModelFormatError("isotropic model must have zero drift", field="isotropic")
-            if not np.allclose(q, q[0, 0] * np.eye(n), atol=1e-12):
-                raise ModelFormatError(
-                    "isotropic model needs a scalar multiple of the identity", field="isotropic")
-            if not self.measure.is_radial:
-                raise ModelFormatError("isotropic model needs a radial measure", field="isotropic")
+        object.__setattr__(self, "_cache", {})
+        why = self.isotropic and _isotropy_breach(self)
+        if why:
+            raise ModelFormatError(f"the model is not isotropic: {why}", field="isotropic")
         # numeric Levy integrability check
         tot = 0.0
         prof = self.measure.radial_profile(n)
@@ -104,7 +100,6 @@ class ModelSpec:
             tot += m * min(1.0, float(y @ y))
         if not math.isfinite(tot):
             raise ModelFormatError("int (1 ^ |y|^2) nu(dy) is not finite", field="measure")
-        object.__setattr__(self, "_cache", {})
 
     # -- internal helpers -------------------------------------------------
 
@@ -258,8 +253,9 @@ def iso_g(model: ModelSpec, u):
 
     Includes the Gaussian part, so the value matches eval_re_psi at |xi| = u.
     """
-    if not model.isotropic:
-        raise UnsupportedModelError("iso_g needs an isotropic model")
+    why = _isotropy_breach(model)
+    if why:
+        raise UnsupportedModelError(f"iso_g needs an isotropic model: {why}")
     arr = np.asarray(u, dtype=float)
     if np.any(arr < 0):
         raise RangeError("u must be nonnegative")
@@ -269,30 +265,47 @@ def iso_g(model: ModelSpec, u):
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
-def _scalar_q(model: ModelSpec) -> Optional[float]:
-    """q when Q = q I, as always in dim 1; else None: Re psi is then no
-    function of |xi|."""
-    q = model.q_matrix
-    scalar = model.isotropic or model.dim == 1 or \
-        np.allclose(q, q[0, 0] * np.eye(model.dim), atol=1e-12)
-    return float(q[0, 0]) if scalar else None
+def _measure_breach(model: ModelSpec) -> str:
+    """'' for a rotation-invariant measure, else the field that breaks it."""
+    m = model.measure
+    return "" if m.is_radial else "field 'measure.onesided' is set" if m.onesided \
+        else "field 'measure.atoms' holds point atoms"
+
+
+def _radial_breach(model: ModelSpec) -> str:
+    """'' when Re psi is a function of |xi| (Q = q I and, in dim > 1, a
+    rotation-invariant measure), else the field that breaks it; cached."""
+    c = model._cache
+    if "radial_breach" not in c:
+        n, q = model.dim, model.q_matrix
+        c["radial_breach"] = "" if n == 1 else \
+            "field 'gaussian' is not a multiple of the identity" \
+            if not np.allclose(q, q[0, 0] * np.eye(n), atol=1e-12) else _measure_breach(model)
+    return c["radial_breach"]
+
+
+def _isotropy_breach(model: ModelSpec) -> str:
+    """'' when the triplet is isotropic (no drift, Q = q I, a rotation-invariant
+    measure: Sato 1999), else the field that breaks it; cached."""
+    c = model._cache
+    if "isotropy_breach" not in c:
+        c["isotropy_breach"] = "field 'drift' is not zero" if any(model.drift) else \
+            _radial_breach(model) or _measure_breach(model)
+    return c["isotropy_breach"]
 
 
 def _re_psi_radial_fn(model: ModelSpec) -> Callable[[np.ndarray], np.ndarray]:
     """Vectorized u -> Re psi(|xi|=u) for radial models; used by pipelines."""
-    q = _scalar_q(model)
-    if q is None:
-        raise UnsupportedModelError("Re psi is not a function of |xi|: field "
-                                    "'gaussian' is not a multiple of the identity")
+    why = _radial_breach(model)
+    if why:
+        raise UnsupportedModelError(f"Re psi is not a function of |xi|: {why}")
+    q = float(model.q_matrix[0, 0])
     if model.g_exact is not None:
         g = model.g_exact
         if q == 0.0:
             # adding 0 * u^2 changes no finite value; skip the pass over u
             return lambda u: np.asarray(g(np.asarray(u, float)), float)
         return lambda u: 0.5 * q * np.asarray(u, float) ** 2 + np.asarray(g(np.asarray(u, float)), float)
-    if model.measure.point_atoms() and model.dim > 1:
-        raise UnsupportedModelError("Re psi is not a function of |xi|: field "
-                                    "'measure.atoms' holds point atoms")
 
     def fn(u):
         u = np.atleast_1d(np.asarray(u, dtype=float))
@@ -359,17 +372,13 @@ def re_psi_profile(model: ModelSpec, u_max: float = 0.0) -> Callable[[np.ndarray
 
 
 def _radial_monotone_ok(model: ModelSpec) -> bool:
-    """Cheap probe: isotropic and the radial exponent looks nondecreasing."""
-    if not model.isotropic:
-        return False
-    key = "radial_monotone"
-    cached = model._cache.get(key)
-    if cached is None:
-        v = re_psi_profile(model)(np.geomspace(1e-8, 1e8, 257))
-        tol = 1e-9 * (1.0 + float(np.max(np.abs(v))))
-        cached = bool(np.all(np.diff(v) >= -tol))
-        model._cache[key] = cached
-    return cached
+    """Cheap probe: Re psi is a function of |xi| that looks nondecreasing."""
+    c = model._cache
+    if "radial_monotone" not in c:
+        v = None if _radial_breach(model) else re_psi_profile(model)(np.geomspace(1e-8, 1e8, 257))
+        c["radial_monotone"] = v is not None and bool(
+            np.all(np.diff(v) >= -1e-9 * (1.0 + float(np.max(np.abs(v))))))
+    return c["radial_monotone"]
 
 
 _LOG_RADIUS_MAX = 700.0    # e^700 still leaves e^9 of floating-point headroom
@@ -426,8 +435,9 @@ def _level_log_radius(model: ModelSpec, x: np.ndarray) -> np.ndarray:
 def g_inverse(model: ModelSpec, x: float) -> float:
     """Generalized inverse inf{s >= 0 : g(s) >= x} of s -> psi at |xi| =
     sqrt(s): u^2 of the log-radius bisection on the exponent table."""
-    if not model.isotropic:
-        raise UnsupportedModelError("g_inverse needs an isotropic model")
+    why = _isotropy_breach(model)
+    if why:
+        raise UnsupportedModelError(f"g_inverse needs an isotropic model: {why}")
     if x < 0:
         raise RangeError("target value must be nonnegative")
     if x == 0.0:

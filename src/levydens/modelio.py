@@ -6,7 +6,8 @@ A model file is a JSON document with the fields
     drift     list of dim reals
     gaussian  dim x dim row-major matrix
     measure   {variant, ...} per the measure schema below
-    isotropic optional boolean
+    isotropic optional boolean: an assertion checked against the triplet,
+              which alone selects the routes
     name      optional string
 
 Measure variants: "none"; "atoms" with a list of {mass, radius} or

@@ -118,16 +118,20 @@ def _env_power(env, u: np.ndarray, p: int) -> np.ndarray:
 def _decade_piece(env, n, u_lo: np.ndarray, *, panels: int = 3) -> np.ndarray:
     """GL quadrature of env(u) u^{n-1} du over [u_lo, 10 u_lo] for each lower
     limit, log substitution, ``panels`` GL-16 panels a decade; one env call
-    for all."""
+    for each block of limits with at most ``_FOLD_CHUNK`` nodes."""
     # libm's log, as the scalar rule took it: numpy's vectorised log can
     # differ from it in the last bit (about 2 arguments in 10^4 on AVX-512)
     a = np.fromiter(map(math.log, u_lo), dtype=float, count=u_lo.size)
-    edges = a[:, None] + math.log(10.0) * (np.arange(panels + 1) / panels)
-    mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
-    half = 0.5 * np.diff(edges, axis=-1)
-    pts = mid[..., None] + half[..., None] * _gl16_x
-    vals = _env_power(env, np.exp(pts.reshape(-1)), n).reshape(pts.shape)
-    return np.sum(half * (vals @ _gl16_w), axis=-1)
+    out = np.empty(a.size)
+    block = max(1, _FOLD_CHUNK // (panels * _gl16_x.size))
+    for lo in range(0, a.size, block):
+        edges = a[lo:lo + block, None] + math.log(10.0) * (np.arange(panels + 1) / panels)
+        mid = 0.5 * (edges[:, :-1] + edges[:, 1:])
+        half = 0.5 * np.diff(edges, axis=-1)
+        pts = mid[..., None] + half[..., None] * _gl16_x
+        vals = _env_power(env, np.exp(pts.reshape(-1)), n).reshape(pts.shape)
+        out[lo:lo + block] = np.sum(half * (vals @ _gl16_w), axis=-1)
+    return out
 
 
 def _head_integral(env, n: int, a: float, *, panels: int = 3) -> float:

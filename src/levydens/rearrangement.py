@@ -10,11 +10,13 @@ decreasing rearrangement of e^{-t Re psi}, and equimeasurability gives
 The last form is a Laplace transform of nu and is evaluated here through a
 pipeline independent of the Fourier-side integration in the inversion module.
 
-For isotropic models with a nondecreasing radial exponent the sublevel sets
-are balls and nu comes from inverting the radial profile.  Otherwise (dim
-<= 2) cells are counted on fixed nested shells: box k = [-8 2^k, 8 2^k]^n,
-k = 0 .. 20, has 2^16 cells per axis in dim 1 and 2^10 in dim 2, and shell
-k is the cells of box k outside box k - 1.  With edge_k the least Re psi on
+When Re psi is a nondecreasing function of |xi|, as ``levy_core`` reads it
+off the triplet (Q = q I and, in dim > 1, a rotation-invariant measure; the
+model's ``isotropic`` field plays no part), the sublevel sets are balls and
+nu comes from inverting the radial profile.  Otherwise (dim <= 2) cells
+are counted on fixed nested shells: box k = [-8 2^k, 8 2^k]^n, k = 0 .. 20,
+has 2^16 cells per axis in dim 1 and 2^10 in dim 2, and shell k is the
+cells of box k outside box k - 1.  With edge_k the least Re psi on
 the outermost 1 % layer of box k and K(x) the first k with edge_k > x,
 nu(x) = sum_{k <= K(x)} cell_k #{cells of shell k with Re psi <= x}, and inf
 when no edge exceeds x: nondecreasing, and the same whatever came before.
@@ -36,9 +38,9 @@ from .errors import (
 from .levy_core import (
     ModelSpec,
     _level_log_radius,
+    _radial_breach,
     _radial_monotone_ok,
     _re_psi_rows,
-    _scalar_q,
     re_psi_profile,
 )
 from .measures import ball_volume
@@ -91,7 +93,7 @@ def _build_shell(model: ModelSpec, k: int) -> _Shell:
     ring = np.maximum.reduce([np.maximum(a, -a - 1) for a in axes])
     keep = ring >= N // 4 if k else np.ones(ring.shape, dtype=bool)
     xi = [(a[keep] + 0.5) * h for a in axes]
-    if model.measure.is_radial and _scalar_q(model) is not None:
+    if not _radial_breach(model):
         vals = re_psi_profile(model)(xi[0] if n == 1 else np.hypot(*xi))
     else:
         vals = _re_psi_rows(model, np.stack(xi, axis=-1))

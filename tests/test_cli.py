@@ -3,11 +3,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from levydens import modelio
 from levydens.cli import run
+from levydens.inversion import invert_grid
 from levydens.levy_core import builtin_model
+from levydens.rearrangement import nu_dist
 
 
 def _run(capsys, *argv):
@@ -82,6 +85,43 @@ def test_density_json_format(capsys):
     doc = json.loads(out)
     assert doc["config"]["subcommand"] == "density"
     assert doc["mass"] == pytest.approx(1.0, abs=1e-4)
+
+
+def test_density_on_a_square_lattice_in_dim_2(capsys):
+    code, out, _ = _run(capsys, "density", "--model", "builtin:cauchy:dim=2",
+                        "--t", "1", "--grid", "-1:1:0.25")
+    assert code == 0
+    rows = [ln for ln in out.splitlines() if not ln.startswith("#")]
+    assert rows[0] == "x,y,p"
+    xs = np.linspace(-1.0, 1.0, 9)
+    got = np.array([[float(v) for v in ln.split(",")] for ln in rows[1:]])
+    assert got.shape == (81, 3)
+    want = invert_grid(builtin_model("cauchy", dim=2), 1.0, (xs, xs)).values
+    np.testing.assert_array_equal(got[:, 0], np.repeat(xs, 9))
+    np.testing.assert_array_equal(got[:, 1], np.tile(xs, 9))
+    np.testing.assert_array_equal(got[:, 2], want.ravel())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_routes_read_the_triplet_not_the_isotropic_key(tmp_path, capsys, dim):
+    # an isotropic stable file without the key takes the ball and radial
+    # routes, and prints what the file with "isotropic": true prints
+    doc = modelio.model_to_dict(builtin_model("stable", dim=dim, alpha=1.5))
+    del doc["isotropic"]
+    outs = []
+    for i, key in enumerate(({}, {"isotropic": True})):
+        path = tmp_path / f"stable{i}.json"
+        path.write_text(json.dumps({**doc, **key}))
+        rows = []
+        for argv in (("nu-dist", "--x-max", "10"), ("asymptotics",), ("ratio-limit",)):
+            code, out, err = _run(capsys, *argv, "--model", str(path))
+            assert code == 0 and err == ""
+            rows.append([ln for ln in out.splitlines()
+                         if "digest" not in ln and "model" not in ln])
+        outs.append(rows)
+    assert outs[0] == outs[1]
+    if dim == 2:
+        assert abs(nu_dist(modelio.load_model(tmp_path / "stable0.json"), 1.0) - math.pi) <= 1e-12
 
 
 def test_refusal_exit_code_and_payload(capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from levydens import diagnostics
 from levydens.diagnostics import (
     classify,
     hw_functional,
@@ -14,7 +15,8 @@ from levydens.diagnostics import (
     tail_mass_functional,
 )
 from levydens.errors import DimensionMismatchError, UnsupportedModelError
-from levydens.levy_core import builtin_model
+from levydens.levy_core import ModelSpec, builtin_model
+from levydens.measures import MeasureSpec
 
 
 def test_hw_gaussian_diverges():
@@ -24,6 +26,19 @@ def test_hw_gaussian_diverges():
     oracle = 4.0 ** k / np.log1p(2.0 ** k)
     np.testing.assert_allclose(rep.values, oracle, rtol=1e-10)
     assert rep.verdict == "diverges"
+
+
+def test_hw_takes_the_least_direction_of_a_non_radial_exponent():
+    # Re psi = xi_1^2 + 4 xi_2^2 is no function of |xi|: the rays probe the
+    # axes and the diagonals, and the least, u^2, lies on the e_1 axis
+    dirs = diagnostics._directions(2)
+    assert dirs.shape == (4, 2)
+    np.testing.assert_allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=1e-15)
+    assert diagnostics._directions(3).shape == (9, 3)
+    m = ModelSpec(2, (0.0, 0.0), ((2.0, 0.0), (0.0, 8.0)), MeasureSpec(variant="none"))
+    rep = hw_functional(m)
+    xi = 2.0 ** np.arange(4, 41)
+    np.testing.assert_array_equal(rep.values, xi * xi / np.log1p(xi))
 
 
 def test_hw_sym_gamma_bounded_near_two():

@@ -128,6 +128,21 @@ def test_half_period_tail_lives_in_quadrature():
     assert users == ["quadrature.py"]
 
 
+def test_routes_read_the_triplet_not_the_isotropic_field():
+    # the isotropic field is an assertion checked against the triplet: only
+    # ModelSpec's validation and modelio's serialisation read it
+    src = pathlib.Path(quadrature.__file__).parent
+    readers = set()
+    for p in src.glob("*.py"):
+        tree = ast.parse(p.read_text())
+        fns = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "isotropic":
+                inner = [f for f in fns if f.lineno <= node.lineno <= f.end_lineno]
+                readers.add(f"{p.name}:{max(inner, key=lambda f: f.lineno).name if inner else ''}")
+    assert sorted(readers) == ["levy_core.py:__post_init__", "modelio.py:model_to_dict"]
+
+
 def test_bessel_j_comes_from_specfun_alone():
     # one Bessel layer: no module calls scipy's J family; the recurrence in
     # specfun serves H_nu and the Filon moments (scipy's kv in closed_form

@@ -393,6 +393,16 @@ def test_memory_guard(name, t, grid, limit_mb):
     assert _traced_peak(lambda: invert_grid(model, t, grid)) < limit_mb * 1e6
 
 
+def test_radial_memory_guard_on_many_radii():
+    # the 4,000 largest distinct radii of a 401 x 401 grid at step 0.05: the
+    # leftover search's decade pieces over all rows and block ends at once
+    # held (limits, 3, 16) arrays, 562 MB traced
+    xs = (np.arange(401) - 200) * 0.05
+    radii = np.unique(np.hypot(xs[:, None], xs))[-4000:]
+    model = builtin_model("cauchy", dim=2)
+    assert _traced_peak(lambda: invert_radial(model, 1.0, radii)) < 64e6
+
+
 _X41 = (np.arange(41) - 20) * 0.1
 _X21 = (np.arange(21) - 10) * 0.15
 
@@ -670,6 +680,13 @@ def test_point_route_refuses_below_the_threshold():
         invert_grid(builtin_model("sym_gamma"), 0.45, np.array([0.0, 1.0]))
 
 
+def test_radial_route_refuses_a_divergent_tail():
+    # e^{-t Re psi} = (1 + u^2)^{-0.45} is not integrable: the half-period
+    # tail's leftover is infinite (radius 0 would refuse in pt_zero)
+    with pytest.raises(IntegrabilityRefusal, match="envelope tail diverges"):
+        invert_radial(builtin_model("sym_gamma"), 0.45, [1.0])
+
+
 @pytest.mark.parametrize("name, kw, t, x", [
     ("cauchy", {}, 1.0, _nodes(9, 0.5)),
     ("stable", {"alpha": 1.5}, 1.0, _nodes(9, 0.8)),
@@ -937,6 +954,9 @@ _FAR_RADII = (1e3, 1e5, 1e6, 1e7, 1e8, 1e10, 1e11, 1e14)
     # the mid march passes u = 1e154, where u^2 overflows and the envelope is 0
     *[(family, dim, [1e-200]) for family in ("cauchy", "gaussian") for dim in (2, 3)],
     ("cauchy", 2, [0.0, math.nan]), ("cauchy", 2, [1.0, math.inf]), ("cauchy", 2, [[0.0, 1.0]]),
+    # below 1e-300, 30/r and pi/r overflow
+    *[(family, dim, [r]) for family in ("cauchy", "gaussian") for dim in (2, 3)
+      for r in (1e-310, 5e-324)],
 ])
 def test_radial_extreme_radii_meet_their_bound(family, dim, radii):
     # the head [0, a] takes H_{nu+1}(a r), with a = min(1e-9, u_knee / 2),

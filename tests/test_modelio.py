@@ -100,6 +100,23 @@ def test_missing_required_field(tmp_path):
     assert exc_info.value.field == "drift"
 
 
+@pytest.mark.parametrize("key, value, named", [
+    ("drift", [0.5, 0.0], "drift"),
+    ("gaussian", [[2.0, 0.0], [0.0, 8.0]], "gaussian"),
+    ("measure", {"variant": "atoms", "atoms": [{"mass": 1.0, "point": [1.0, 0.0]}]},
+     "measure.atoms"),
+])
+def test_isotropic_true_is_checked_against_the_triplet(key, value, named):
+    doc = modelio.model_to_dict(builtin_model("gaussian", dim=2))
+    doc[key] = value
+    with pytest.raises(ModelFormatError, match=named) as exc_info:
+        modelio.model_from_dict(doc)
+    assert exc_info.value.field == "isotropic"
+    doc["isotropic"] = False
+    assert modelio.canonical_text(modelio.model_from_dict(doc)) == \
+        json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
 def test_measure_schema_errors():
     with pytest.raises(ModelFormatError):
         modelio.measure_from_dict({"variant": "bogus"})

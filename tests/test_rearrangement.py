@@ -241,36 +241,36 @@ def test_counted_nu_is_history_free(name):
     assert np.all(np.abs(after - _FINE_COUNTS[name]) <= tol + 1e-5)
 
 
-def _counted(model):
-    # the same exponent without the isotropic flag takes the counted route
-    return dataclasses.replace(model, isotropic=False)
-
-
 def test_counted_route_on_gaussians_past_shell_0():
-    # psi = |xi|^2 (dim 1 and 2); box 0 covers thresholds up to about 62.7
-    m1 = _counted(builtin_model("gaussian"))
+    # psi = |xi|^2 (dim 1 and 2), whose routes take the balls; counted here
+    # directly.  Box 0 covers thresholds up to about 62.7
+    m1 = builtin_model("gaussian")
     x = np.array([0.5, 100.0, 1000.0, 1e4])
-    table = build_table(m1, 1e4, x_min=0.5)
-    assert table.method == "grid_count" and table.cell_size == _CELL0
     # an interval is counted to within one cell of the shell its end lies in
     shell = np.maximum(np.ceil(np.log2(np.sqrt(x) / 8.0)), 0.0)
-    got = nu_dist(m1, x)
+    got = rearrangement._counted_nu(m1, x)
     assert np.all(np.abs(got - 2.0 * np.sqrt(x)) <= _CELL0 * 2.0 ** shell)
     assert len(m1._cache["shells"]) == 5
+    # only the shells through the first edge past the largest threshold
+    edges = [sh.edge for sh in rearrangement._shells_through(m1, 4)]
+    assert edges[3] <= x[-1] < edges[4]
 
-    m2 = _counted(builtin_model("gaussian", dim=2))
+    m2 = builtin_model("gaussian", dim=2)
     x = np.array([4.0, 100.0])
     h = 16.0 / (1 << 10) * np.array([1.0, 2.0])
-    got = nu_dist(m2, x)
+    got = rearrangement._counted_nu(m2, x)
     # the misplaced cells lie within h / sqrt(2) of the circle of radius r
     r = np.sqrt(x)
     assert np.all(np.abs(got - math.pi * x) <= 2.0 * math.sqrt(2.0) * math.pi * r * h)
     assert len(m2._cache["shells"]) == 2
+    edges = [sh.edge for sh in rearrangement._shells_through(m2, 1)]
+    assert edges[0] <= x[-1] < edges[1]
 
 
 def test_counted_nu_inverse_sandwich():
     m = builtin_model("exa4_atoms")
     table = build_table(m, 20.0)
+    assert table.method == "grid_count" and table.cell_size == _CELL0
     rows = 0
     for x, nu in zip(table.x_nodes, table.nu_values):
         if not 0.0 < nu < math.inf:
@@ -298,8 +298,25 @@ def test_counted_route_builds_each_shell_once(monkeypatch):
     assert built == list(range(len(built))) and len(built) == 21
 
 
+def test_gamma_takes_the_ball_route():
+    # Re psi = ln(1 + xi^2) / 2 is radial and increasing, though the
+    # one-sided measure and the drift make the triplet non-isotropic:
+    # nu(x) = 2 sqrt(e^{2x} - 1), and t int nu(x) e^{-tx} dx / (2 pi) =
+    # Gamma((t - 1) / 2) / (2 sqrt(pi) Gamma(t / 2))
+    m = builtin_model("gamma")
+    x = np.array([0.1, 1.0, 5.0])
+    np.testing.assert_allclose(nu_dist(m, x), 2.0 * np.sqrt(np.expm1(2.0 * x)), rtol=1e-12)
+    for t in (1.5, 3.0, 10.0):
+        want = math.gamma(0.5 * (t - 1.0)) / (2.0 * math.sqrt(math.pi) * math.gamma(0.5 * t))
+        assert pt0_laplace(m, t) == pytest.approx(want, rel=1e-12, abs=0.0)
+    for t in (0.9, 1.0):
+        with pytest.raises(IntegrabilityRefusal):
+            pt0_laplace(m, t)
+
+
 def test_counted_route_keeps_the_gaussian_part():
-    # psi = i xi + xi^2: the drift makes the model non-isotropic
+    # psi = i xi + xi^2: the drift leaves Re psi = xi^2 radial, so the
+    # ball route gives nu and p_t(0) of e^{-t Re psi}
     m = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
     assert nu_dist(m, 1.0) == pytest.approx(2.0, abs=_CELL0)
     assert pt0_laplace(m, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-4)
