@@ -24,7 +24,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy import special as _sp
 
-from .errors import QuadratureError, RangeError
+from .errors import RangeError
 from .levy_core import ModelSpec
 from .inversion import pt_zero
 from . import rearrangement

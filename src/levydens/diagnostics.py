@@ -20,7 +20,7 @@ generalized quotient Re psi / ln(1 + phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np

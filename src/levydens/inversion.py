@@ -60,8 +60,8 @@ one upward recurrence pass per block of at most ``_FOLD_CHUNK`` pairs, and
 from ``specfun``'s backward recurrence where the upward one is unstable
 (s <= k), the recurrence that also gives ``invert_radial`` its kernel.  A complex
 F (a one-sided part, point atoms, drift) takes the same panels, with Re F
-and Im F expanded alike.  The node x = 0 takes decade pieces
-(``_tail_at_zero``), those of ``quadrature``.
+and Im F expanded alike.  At x = 0, on either route, a run cut at the cap
+adds the decade tail of Re F past its last panel (``_tail_at_zero``).
 
 The 2-d lattice (``_lattice_sum_2d``) sums a radial F on a square frequency
 lattice as a product of two cosine matrices around the samples.  F(|xi|)
@@ -84,13 +84,7 @@ import numpy as np
 from scipy import fft as _sfft
 from scipy import special as _sp
 
-from .errors import (
-    DimensionMismatchError,
-    IntegrabilityRefusal,
-    QuadratureError,
-    RangeError,
-    UnsupportedModelError,
-)
+from .errors import IntegrabilityRefusal, QuadratureError, RangeError, UnsupportedModelError
 from .levy_core import ModelSpec, _im_psi, _isotropy_breach, re_psi_profile
 from .measures import sphere_surface
 from .quadrature import (
@@ -673,9 +667,10 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
 
     Where s > k one pass of the upward recurrence j_0 = sin s / s,
     j_1 = (j_0 - cos s) / s, j_{k+1} = (2k + 1) j_k / s - j_{k-1} yields
-    every order at once.  Where s <= k the upward recurrence is unstable;
+    every order at once.  Where 0 < s <= k the upward recurrence is unstable;
     those (order, s) pairs take ``specfun.bessel_j_orders`` at nu = 1/2,
-    Miller's backward recurrence, whose rows are j_0 .. j_{K-1}."""
+    Miller's backward recurrence, whose rows are j_0 .. j_{K-1}; at s = 0
+    they are 1, 0, 0, ..., as it gives them, with no recurrence run."""
     s = np.asarray(s, dtype=float)
     j = np.empty((K, s.size))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -683,7 +678,8 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
         j[1] = (j[0] - np.cos(s)) / s
         for k in range(1, K - 1):
             j[k + 1] = (2 * k + 1) * j[k] / s - j[k - 1]
-    low = np.flatnonzero(~(s > K - 1))
+    j[:, s == 0.0] = (np.arange(K) == 0)[:, None]
+    low = np.flatnonzero(~(s > K - 1) & (s != 0.0))
     if low.size:
         sl = s[low]
         j[:, low] = np.where(sl > np.arange(K)[:, None], j[:, low],
@@ -691,12 +687,12 @@ def _spherical_jn_orders(K: int, s: np.ndarray) -> np.ndarray:
     return j
 
 
-def _filon_tail(F, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _FilonBound]:
+def _filon_tail(f: _Integrand, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _FilonBound]:
     """(1/pi) Re int_{u_0}^inf F(u) e^{-i x u} du for an array of x, over
-    the ``panels`` from u_0 = edges[0]; for a run from the origin the head
-    [0, u_0] is added, so the integral starts at 0.  F is real and even, or
-    complex with F(-u) = conj F(u); either way this is the two-sided tail
-    (1/2pi) int_{|u| > u_0} F(u) e^{-i x u} du.
+    the ``panels`` from u_0 = edges[0], with F = f.F; for a run from the
+    origin the head [0, u_0] is added, so the integral starts at 0.  F is
+    real and even, or complex with F(-u) = conj F(u); either way this is
+    the two-sided tail (1/2pi) int_{|u| > u_0} F(u) e^{-i x u} du.
 
     Re F and Im F are expanded in Legendre polynomials on each panel and
     integrated against the exact oscillatory moments
@@ -705,9 +701,12 @@ def _filon_tail(F, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _Fi
     and the points of the remainder; the moments of all K orders at all
     (panel, node) pairs come from ``_spherical_jn_orders``, in blocks of
     whole panels holding at most ``_FOLD_CHUNK`` pairs, or one panel when
-    its nodes alone exceed that.  The remainder beyond the last panel is the
-    leading integration-by-parts term, Re F(U) e^{-i x U} / (i x), and its
-    bound takes |F| and |F'|.  Returns (values, bound parts).
+    its nodes alone exceed that.  The remainder beyond the last panel U is
+    the leading integration-by-parts term, Re F(U) e^{-i x U} / (i x), and
+    its bound takes |F| and |F'|.  At x = 0, where that term is 0, it is
+    under 3 |F(U)| U for a run that ended on the envelope level, and the
+    decade tail of Re F past U (``_tail_at_zero``) for one cut at the cap or
+    the panel count.  Returns (values, bound parts).
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
@@ -716,8 +715,8 @@ def _filon_tail(F, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _Fi
     h = 0.5 * np.diff(edges)
     U = float(edges[-1])
     dU = 1e-3 * U
-    ev = F(np.concatenate(((c[:, None] + h[:, None] * _gl16_x).reshape(-1),
-                           [U - dU, U, U + dU, edges[0]])))
+    ev = f.F(np.concatenate(((c[:, None] + h[:, None] * _gl16_x).reshape(-1),
+                             [U - dU, U, U + dU, edges[0]])))
     cplx = np.iscomplexobj(ev)
     a = ev[:-4].reshape(-1, _gl16_x.size) @ _filon_proj.T      # (P, K)
     # e^{-i x c} h sum_k a_k 2 (-i sign x)^k j_k(|x| h), with A and B the
@@ -752,10 +751,13 @@ def _filon_tail(F, panels: _FilonPanels, x: np.ndarray) -> Tuple[np.ndarray, _Fi
     if cplx:
         out += sx * FU.imag * np.cos(ax * U) / np.maximum(ax, 1e-300)
     envp = float(abs(ev[-2] - ev[-4])) / (2.0 * dU)
-    x_min = float(np.min(ax))
-    rem = 3.0 * envU * U
-    if x_min > 0.0:
-        rem = min(envp / x_min ** 2 + envU / (U * x_min * x_min), rem)
+    x_min = float(np.min(ax, initial=math.inf, where=ax > 0.0))
+    rem = min(envp / x_min ** 2 + envU / (U * x_min * x_min), 3.0 * envU * U)
+    if np.any(ax == 0.0):
+        cut = U > _FILON_CAP or edges.size > _FILON_PANELS
+        tail, err = _tail_at_zero(f, U) if cut else (0.0, 3.0 * envU * U)
+        out[ax == 0.0] += tail
+        rem = max(rem, err)
     head = 0.0
     if panels.head is not None:
         u0, head = float(edges[0]), panels.head
@@ -835,22 +837,22 @@ def _point_pass(f: _Integrand, panels: _FilonPanels,
     wrap, no Richardson pass and no node placement error; its bound is the
     sum of the run's projection, remainder, head and rounding parts.
     Returns (values, tail_bound)."""
-    vals, bound = _filon_tail(f.env, panels, x)
+    vals, bound = _filon_tail(f, panels, x)
     return vals, sum(bound)
 
 
-def _tail_at_zero(f: _Integrand, Xi: float) -> Tuple[float, float]:
-    """(1/pi) Re int_Xi^inf F(u) du, the tail at the node x = 0, and its
-    error.  A symmetric F takes the envelope's decade tail integral.  Any
-    other F sums GL-16 decade pieces of Re F from Xi, in one call, up to the
-    first decade end past which the envelope's tail is under 1e-16 (error
-    1e-12), or over all 32 decades (error: the tail past them).  The ends'
-    tails are taken in blocks of 1, 2, 4, ... ends, so a fast envelope is
-    not sampled decades past its stop."""
+def _tail_at_zero(f: _Integrand, U: float) -> Tuple[float, float]:
+    """Re int_U^inf F(u) du, the remainder of a Filon run at the node x = 0,
+    and its error.  A symmetric F takes the envelope's decade tail integral.
+    Any other F sums GL-16 decade pieces of Re F from U, in one call, up to
+    the first decade end past which the envelope's tail is under 1e-16
+    (error 1e-12), or over all 32 decades (error: the tail past them).  The
+    ends' tails are taken in blocks of 1, 2, 4, ... ends, so a fast envelope
+    is not sampled decades past its stop."""
     if f.sym:
-        tail = _tail_integral(f.env, 1, Xi)
-        return tail / math.pi, 1e-8 * tail
-    lo = Xi * 10.0 ** np.arange(32)
+        tail = _tail_integral(f.env, 1, U)
+        return tail, 1e-8 * tail
+    lo = U * 10.0 ** np.arange(32)
     a, size = 0, 1
     while a < lo.size:
         rest = _tail_integral(f.env, 1, 10.0 * lo[a:a + size])
@@ -860,9 +862,8 @@ def _tail_at_zero(f: _Integrand, Xi: float) -> Tuple[float, float]:
             break
         a, size = a + size, 2 * size
     else:
-        err = float(rest[-1]) / math.pi
-    head = float(np.sum(_decade_piece(lambda u: f.F(u).real, 1, lo)))
-    return head / math.pi, err
+        err = float(rest[-1])
+    return float(np.sum(_decade_piece(lambda u: f.F(u).real, 1, lo))), err
 
 
 def _grid_pass(f: _Integrand, x: np.ndarray, hx: float,
@@ -895,14 +896,9 @@ def _grid_pass(f: _Integrand, x: np.ndarray, hx: float,
 
     # analytic continuation of the truncated frequency tail: the two
     # half-axes pair into Re of the one-sided integral, which the Filon
-    # panels evaluate for every nonzero grid node at once
-    corr = np.zeros(nx)
-    zero = x == 0.0
-    corr[~zero], ce = _filon_tail(Ffun, _filon_panels(env, Xi_eff, Xi_eff), x[~zero])
+    # panels evaluate for every grid node at once
+    corr, ce = _filon_tail(f, _filon_panels(env, Xi_eff, Xi_eff), x)
     corr_err = sum(ce)
-    if np.any(zero):
-        corr[zero], e = _tail_at_zero(f, Xi_eff)
-        corr_err = max(corr_err, e)
     p = p + corr
 
     # the sums sit at x = (x0 / hx + i) hx, which misses x[i] by the rounding
@@ -1079,7 +1075,8 @@ def invert_grid(model: ModelSpec, t: float, grid) -> DensityField:
 
 
 def pt_zero(model: ModelSpec, t: float) -> float:
-    """p_t(0) = (2 pi)^{-n} int e^{-t Re psi(xi)} d xi for radial-exponent models."""
+    """(2 pi)^{-n} int e^{-t Re psi(xi)} d xi for radial-exponent models: p_t(0)
+    when Im psi = 0, else only the bound sup_x p_t(x) <= (2 pi)^{-n} ||e^{-t psi}||_1."""
     if not 0.0 < t < math.inf:
         raise RangeError(f"time t={t} must be positive and finite")
     n = model.dim
@@ -1103,13 +1100,16 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
 
     p_t(r) = (2 pi)^{-n} omega_{n-1} int_0^inf e^{-t g(u^2)} u^{n-1}
              H_{(n-2)/2}(u r) du, with the head [0, a], a = min(1e-9,
-    u_knee / 2), taken in closed form, then 64 geometric GL-16 panels up to
-    u_knee = min(1, 30/r), GL-16 panels of width min(pi/(2r), max(u/4, 1e-3))
-    up to 30/r, then ``quadrature._half_period_tail``'s GL-12 panels, stopped
-    on the envelope tail past their ends (an infinite one refuses).  Each
-    nonzero radius is a row of each of the three stretches, which lay out
-    their panels first and evaluate them with one integrand call for all
-    rows (one per ``_FOLD_CHUNK`` nodes), so a call makes at most three.
+    u_knee / 2), taken in closed form, then two stretches: 64 geometric
+    GL-16 panels up to u_knee = min(1, 30/r) and the mid march, of width
+    min(pi/(2r), u/4) up to min(30/r, u_stop).  u_stop, one for the call,
+    is the first of 1, 1.25, 1.25^2, ... where env(u) u^{n-1} is under 1e-22
+    of max_{v <= u} env(v) v^n / n, a lower bound on the mass below u.  Then
+    ``quadrature._half_period_tail``'s GL-12 panels, stopped on the envelope
+    tail past their ends (an infinite one refuses).  Each nonzero radius is a
+    row of both, laid out before any kernel call and evaluated by one
+    integrand call for all rows (one per ``_FOLD_CHUNK`` nodes), so a call
+    makes at most two.
 
     ``tail_bound`` is the largest over the radii of the envelope tail left
     over, the head's error (1 - env(a)) a^n / n, and a rounding part,
@@ -1152,30 +1152,30 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         head = env(0.5 * a) * a ** n / n
         cut = a * r > 1e-8
         head[cut] *= specfun.h_kernel_array(nu + 1.0, a[cut] * r[cut])
-        edges = np.geomspace(a, u_knee, 64, axis=1)
+        # the mid march from u_knee = 1 (rows with r < 30): 1.25 u (a running
+        # product, rounding as u + u / 4) while u / 4 is under the quarter
+        # period pi / (2r), then at most 16 quarter periods.  A row pads with
+        # panels of no width, so its edges depend on r and u_stop alone
+        size = max(math.ceil(math.log(30.0 / np.min(lay)) / math.log(1.25)), 0) + 1
+        g = np.cumprod(np.concatenate(([1.0], np.full(size, 1.25))))
+        e = _env_power(env, g, n - 1)
+        small = e < 1e-22 * np.maximum.accumulate(e * g) / n
+        g = g[:np.argmax(small) + 1] if small.any() else g
+        quarter = 0.5 * math.pi / lay
+        j = np.minimum(np.searchsorted(0.25 * g, quarter), g.size - 1)[:, None]
+        k = np.arange(1, g.size + 17)
+        end = np.minimum(30.0 / lay, g[-1])[:, None]
+        march = np.minimum(np.where(k <= j, g[np.minimum(k, g.size - 1)],
+                                    g[j] + (k - j) * quarter[:, None]), end)
+        edges = np.concatenate((np.geomspace(a, u_knee, 64, axis=1), march), axis=1)
         terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
-        total = head + np.sum(terms, axis=1)
+        # the head's 63 panels pairwise, the march's in order: padding adds 0
+        total = np.cumsum(np.concatenate(((head + np.sum(terms[:, :63], axis=1))[:, None],
+                                          terms[:, 63:]), axis=1), axis=1)[:, -1]
         mag = np.abs(head) + weigh(terms, edges[:, 1:])
-        # panel width capped both by the kernel half-period and by a
-        # geometric-growth rule that keeps the envelope resolved, stepped for
-        # all rows at once (at least one step; a row at 30/r adds panels of no
-        # width); each row stops at its first edge where the envelope falls
-        # under 1e-22 of its running total
-        u_big, half_period = 30.0 / lay, 0.5 * math.pi / lay
-        edges = [u_knee]
-        while len(edges) == 1 or np.any(edges[-1] < u_big):
-            du = np.minimum(half_period, np.maximum(0.25 * edges[-1], 1e-3))
-            edges.append(np.minimum(edges[-1] + du, u_big))
-        edges = np.stack(edges, axis=1)
-        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
-        running = np.cumsum(np.concatenate((total[:, None], terms), axis=1), axis=1)[:, 1:]
-        small = _env_power(env, edges[:, 1:], n - 1) < 1e-22 * np.abs(running)
-        k = np.where(small.any(axis=1), small.argmax(axis=1), running.shape[1] - 1)
-        total, u_big = running[np.arange(r.size), k], edges[np.arange(r.size), k + 1]
-        mag += weigh(np.where(np.arange(terms.shape[1]) <= k[:, None], terms, 0.0), edges[:, 1:])
         # oscillatory tail in half periods of the Bessel kernel, stopped on
         # the envelope tail past the panel ends
-        ends = _half_period_ends(u_big, math.pi / lay)
+        ends = _half_period_ends(edges[:, -1], math.pi / lay)
         acc, tail_est, terms = _half_period_tail(
             f, ends, lambda i, e: _tail_integral(env, n, e))
         if np.any(np.isinf(tail_est)):

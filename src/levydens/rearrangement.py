@@ -5,8 +5,10 @@ Its generalized right-continuous inverse nu^{-1}(s) = inf{x : nu(x) >= s}
 is the increasing rearrangement of Re psi, u*(s) = e^{-t nu^{-1}(s)} the
 decreasing rearrangement of e^{-t Re psi}, and equimeasurability gives
 
-    (2 pi)^n p_t(0) = int e^{-t Re psi} d xi = t int_0^inf nu(x) e^{-tx} dx.
+    int e^{-t Re psi} d xi = t int_0^inf nu(x) e^{-tx} dx.
 
+That is (2 pi)^n p_t(0) when Im psi = 0 (a symmetric law), and otherwise
+(2 pi)^n times a bound on sup_x p_t(x), as |e^{-t psi}| = e^{-t Re psi}.
 The last form is a Laplace transform of nu and is evaluated here through a
 pipeline independent of the Fourier-side integration in the inversion module.
 
@@ -30,11 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    IntegrabilityRefusal,
-    RangeError,
-    UnsupportedModelError,
-)
+from .errors import IntegrabilityRefusal, RangeError, UnsupportedModelError
 from .levy_core import (
     ModelSpec,
     _level_log_radius,
@@ -233,7 +231,8 @@ def _built_edge(model: ModelSpec) -> float:
 
 
 def pt0_laplace(model: ModelSpec, t: float) -> float:
-    """p_t(0) as a Laplace transform: t (2 pi)^{-n} int nu(x) e^{-tx} dx.
+    """t (2 pi)^{-n} int nu(x) e^{-tx} dx = (2 pi)^{-n} int e^{-t Re psi}, a
+    Laplace transform: p_t(0) when Im psi = 0, else only the bound on sup p_t.
 
     Substituting y = t x gives int nu(y/t) e^{-y} dy, integrated over
     geometric panels near 0 (algebraic behaviour of nu) and unit panels

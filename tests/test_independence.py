@@ -167,3 +167,22 @@ def test_only_levy_core_picks_the_exponent_table_range():
         if isinstance(node, ast.Call) and len(node.args) + len(node.keywords) > 1
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "re_psi_profile")
     assert ranged == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # no linter runs here: every name a module imports is read in it or
+    # listed in its __all__ (``from __future__`` imports are directives)
+    src = pathlib.Path(quadrature.__file__).parent
+    unused = []
+    for p in sorted(src.glob("*.py")):
+        tree = ast.parse(p.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        read |= {c.value for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+                 for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+        unused += [f"{p.name}:{alias.asname or alias.name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (alias.asname or alias.name).split(".")[0] not in read]
+    assert unused == []

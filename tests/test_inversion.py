@@ -485,8 +485,9 @@ def test_complex_filon_tail_matches_qawf(t):
     F = lambda u: np.exp(-t * model.psi_exact_vec(u))
     Xi = 5.0
     panels = _filon_panels(lambda u: np.abs(F(u)), Xi, Xi)
+    f = inversion._Integrand(False, F, lambda u: np.abs(F(u)), Xi)
     x = np.array([0.05, -0.08, 0.7, -2.5, 6.0])
-    vals, bound = _filon_tail(F, panels, x)
+    vals, bound = _filon_tail(f, panels, x)
     for xv, got in zip(x, vals):
         c, ec = integrate.quad(lambda u: F(np.array([u]))[0].real, Xi, np.inf,
                                weight="cos", wvar=abs(xv))
@@ -498,15 +499,15 @@ def test_complex_filon_tail_matches_qawf(t):
     # carry the rest, at the nodes with |x| U >> 1
     far = np.abs(x) > 1.0
     cut = inversion._FilonPanels(panels.edges[:np.searchsorted(panels.edges, 100.0) + 1], None)
-    got, cut_bound = _filon_tail(F, cut, x[far])
+    got, cut_bound = _filon_tail(f, cut, x[far])
     assert np.all(np.abs(got - vals[far]) <= sum(cut_bound) + sum(bound))
     # a many-node call, whose panels run in several blocks, equals the
     # single-node calls bit for bit
     many = np.concatenate((x, np.linspace(-6.0, 6.0, 2401)))
     assert many.size * (panels.edges.size - 1) > _FOLD_CHUNK
-    got, _ = _filon_tail(F, panels, many)
+    got, _ = _filon_tail(f, panels, many)
     for j in [*range(x.size), *range(x.size, many.size, 100)]:
-        assert got[j] == _filon_tail(F, panels, many[j:j + 1])[0][0]
+        assert got[j] == _filon_tail(f, panels, many[j:j + 1])[0][0]
 
 
 @pytest.mark.parametrize("t, x", [
@@ -570,6 +571,8 @@ def test_drifted_gaussian_keeps_its_gaussian_part():
     # psi = i l xi + xi^2 with l = 1: X_t is normal with mean -t, variance 2t
     m = ModelSpec(1, (1.0,), ((2.0,),), MeasureSpec(variant="none"))
     assert re_psi_profile(m, 1e9)(np.array([3.0]))[0] == eval_re_psi(m, [3.0]) == 9.0
+    # pt_zero is (1/2pi) int e^{-t Re psi} = 1/sqrt(4 pi), the bound on
+    # sup_x p_1(x); the density at 0 is p_1(0) = e^{-1/4} / sqrt(4 pi)
     assert pt_zero(m, 1.0) == pytest.approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-12)
     # the drift sends the inversion down the non-symmetric path
     x = np.arange(-20, 21) * 0.25
@@ -673,6 +676,19 @@ def test_point_pass_stable_at_zero(alpha, t):
     want = math.gamma(1.0 + 1.0 / alpha) / (math.pi * t ** (1.0 / alpha))
     assert abs(vals[4] - want) <= bound
     assert vals[4] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t, x", [(0.52, [-1.0, 0.0, 1.0]), (0.55, [0.0, 0.5])])
+def test_point_route_at_zero_takes_the_tail_past_the_cap(monkeypatch, t, x):
+    # (1 + u^2)^{-t} leaves about U^{1-2t} / (2t - 1) past the 1e12 cap, and
+    # at x = 0 the leading integration-by-parts term is 0: a run cut at the
+    # cap gives that node the decade tail of F past U
+    calls = _count_point_routes(monkeypatch)
+    x = np.array(x)
+    f = invert_grid(builtin_model("sym_gamma"), t, x)
+    assert calls == [x.size]
+    err = np.max(np.abs(f.values - [closed_form("sym_gamma_besselk", t, v) for v in x]))
+    assert err <= f.tail_bound and err <= 1e-12
 
 
 def test_point_route_refuses_below_the_threshold():
@@ -844,16 +860,23 @@ def _radial_panel_loop(model, t, radii):
         mag, head_err = abs(total), (1.0 - env(np.array([a]))[0]) * a ** n / n
         value, size = _panel_sum(f, np.geomspace(a, u_knee, 64), x16, w16, r)
         total, mag = total + value, mag + size
-        u = u_big = 30.0 / r
-        if u_big > u_knee:
-            u = u_knee
-            while u < u_big:
-                u_next = min(u + min(0.5 * math.pi / r, max(0.25 * u, 1e-3)), u_big)
-                value, size = _panel_sum(f, np.array([u, u_next]), x16, w16, r)
-                total, mag = total + value, mag + size
-                u = u_next
-                if env(np.array([u]))[0] * u ** (n - 1) < 1e-22 * abs(total):
-                    break
+        # the march ends at 30/r or at the envelope's stop, the first u of
+        # 1, 1.25, ... where env(u) u^{n-1} is under 1e-22 of the largest
+        # env(v) v^n / n up to u
+        u, top = 1.0, 0.0
+        while u < 30.0 / r:
+            level = env(np.array([u]))[0] * u ** (n - 1)
+            top = max(top, level * u / n)
+            if level < 1e-22 * top:
+                break
+            u += 0.25 * u
+        u_end = min(u, 30.0 / r)
+        u = u_knee
+        while u < u_end:
+            u_next = min(u + min(0.5 * math.pi / r, 0.25 * u), u_end)
+            value, size = _panel_sum(f, np.array([u, u_next]), x16, w16, r)
+            total, mag = total + value, mag + size
+            u = u_next
         ends = np.cumsum(np.concatenate(([u], np.full(240, math.pi / r))))
         left = _tail_integral(env, n, ends[1:])
         stop = int(np.argmax(left < 1e-16)) + 1 if np.any(left < 1e-16) else None
@@ -916,9 +939,9 @@ def test_radial_error_within_tail_bound(family, dim, t):
 
 
 def test_radial_query_makes_one_kernel_call_a_stretch(monkeypatch):
-    # every radius is a row of the head, the mid march and the half-period
-    # tail, one integrand call each; the heads [0, a] take H_{nu+1} in one
-    # more call
+    # every radius is a row of the head and mid march, laid out as one
+    # stretch, and of the half-period tail, one integrand call each; the
+    # heads [0, a] take H_{nu+1} in one more call
     calls = []
     real = specfun.h_kernel_array
     monkeypatch.setattr(specfun, "h_kernel_array",
@@ -928,7 +951,22 @@ def test_radial_query_makes_one_kernel_call_a_stretch(monkeypatch):
         calls.clear()
         invert_radial(builtin_model(name, dim=dim), 1.0, rs)
         nu = 0.5 * dim - 1.0
-        assert calls.count(nu) <= 3 and calls.count(nu + 1.0) == 1 and len(calls) <= 4
+        assert calls.count(nu) <= 2 and calls.count(nu + 1.0) == 1 and len(calls) <= 3
+
+
+@pytest.mark.parametrize("family, r", [("gaussian", 1e-200), ("cauchy", 1e-300)])
+def test_radial_march_stops_at_the_envelope_before_evaluating(monkeypatch, family, r):
+    # the mid march runs to 30/r = 3e200 or 3e301, but its panels are laid
+    # out only up to the envelope's stop: about 1,200 kernel points, where
+    # evaluating the march to 30/r and cutting it afterwards took 34,428
+    # and 50,940
+    points = []
+    real = specfun.h_kernel_array
+    monkeypatch.setattr(specfun, "h_kernel_array",
+                        lambda nu, z: points.append(np.size(z)) or real(nu, z))
+    f = invert_radial(builtin_model(family, dim=2), 1.0, [r])
+    assert sum(points) <= 4000
+    assert abs(f.values[0] - closed_form(family, 1.0, np.array([r, 0.0]), dim=2)) <= f.tail_bound
 
 
 @pytest.mark.parametrize("name, kw, dim", [

@@ -141,6 +141,17 @@ def test_ratio_px_p0_cauchy_large_time(monkeypatch):
     assert len(calls) == 4
 
 
+@pytest.mark.parametrize("t", [0.52, 0.55, 0.6])
+def test_ratio_px_p0_sym_gamma_near_the_threshold(t):
+    # (1 + u^2)^{-t} is still far from spent at the point route's 1e12 cap:
+    # p_t(0) takes the tail past it, and the ratio is the Bessel-K form's
+    m = builtin_model("sym_gamma")
+    p0 = inversion.closed_form("sym_gamma_besselk", t, 0.0)
+    for x in (0.5, 1.0, 2.0):
+        want = inversion.closed_form("sym_gamma_besselk", t, x) / p0
+        assert abs(ratio_px_p0(m, t, x) - want) <= 1e-8
+
+
 def test_ratio_px_p0_refuses_below_the_threshold():
     # sym_gamma has a density only for t > 1/2: the window search runs
     # before the route is chosen, so two nodes still refuse
