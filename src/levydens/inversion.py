@@ -76,6 +76,7 @@ too, at three extra points stacked under the output nodes.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence, Tuple
@@ -129,11 +130,12 @@ def _uniform_step(x: np.ndarray) -> float:
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise RangeError("grid must be a 1-d array with at least two nodes")
-    d = np.diff(x)
-    h = d[0]
-    if h <= 0 or not np.allclose(d, h, rtol=1e-9, atol=1e-12):
+    d = x[1:] - x[:-1]
+    h = float(d[0])
+    # np.allclose(d, h, rtol=1e-9, atol=1e-12) written out, for a finite h
+    if not (0.0 < h < math.inf and (np.abs(d - h) <= 1e-12 + 1e-9 * h).all()):
         raise RangeError("grid must be uniformly spaced and increasing")
-    return float(h)
+    return h
 
 
 def _choose_window(env, t, n, dxi, tail_target=_TAIL_TARGET,
@@ -610,7 +612,10 @@ def _filon_panels(env, u_lo: float, reach: float,
     grows with u.  The level that ends the panels is read off the same
     ladder.  The ladder is sampled at once up to ``reach``, a range the
     window search has sampled already, and 16 cells past it; 16 cells at a
-    time beyond that."""
+    time beyond that.  Once the lower bound on the count is checked, the
+    ladder is a pair of lists of Python floats, the loop steps floats and
+    finds cells by bisection: the same float64 operations, in the same
+    order, as on numpy scalars, without their overhead on every step."""
     head = None
     if u_lo == 0.0:
         u_lo, head = _filon_head(env, reach)
@@ -632,21 +637,22 @@ def _filon_panels(env, u_lo: float, reach: float,
         least = min(math.ceil(math.log(g_s / u_lo) / math.log(1.3) - 1e-9), _FILON_PANELS)
         if not pays(max(least, 1)):
             return None
+    g, L = g.tolist(), L.tolist()
 
     def cell(u):
         # index j of the ladder cell [g_j, g_{j+1}) that holds u, with the
         # ladder sampled through the next cell
-        nonlocal g, L
         while u >= g[-2]:
             more = g[-1] * _LADDER ** np.arange(1, _LADDER_CHUNK + 1)
-            g, L = np.concatenate((g, more)), np.concatenate((L, log_env(more)))
-        return int(np.searchsorted(g, u, side="right")) - 1
+            g.extend(more.tolist())
+            L.extend(log_env(more).tolist())
+        return bisect.bisect_right(g, u) - 1
 
     e, j = u_lo, 0
     edges = [e]
     for _ in range(_FILON_PANELS):
-        slope = float(max((L[j] - L[j + 1]) / (g[j + 1] - g[j]),
-                          (L[j + 1] - L[j + 2]) / (g[j + 2] - g[j + 1])))
+        slope = max((L[j] - L[j + 1]) / (g[j + 1] - g[j]),
+                    (L[j + 1] - L[j + 2]) / (g[j + 2] - g[j + 1]))
         width = 0.3 * e
         if slope > 0.0:
             width = min(width, 4.0 / slope)
@@ -1104,7 +1110,9 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
     GL-16 panels up to u_knee = min(1, 30/r) and the mid march, of width
     min(pi/(2r), u/4) up to min(30/r, u_stop).  u_stop, one for the call,
     is the first of 1, 1.25, 1.25^2, ... where env(u) u^{n-1} is under 1e-22
-    of max_{v <= u} env(v) v^n / n, a lower bound on the mass below u.  Then
+    of max_{v <= u} env(v) v^n / n, a lower bound on the mass below u; the
+    ladder is sampled in blocks of 32, 64, 128, ... rungs up to the first
+    block that holds it.  Then
     ``quadrature._half_period_tail``'s GL-12 panels, stopped on the envelope
     tail past their ends (an infinite one refuses).  Each nonzero radius is a
     row of both, laid out before any kernel call and evaluated by one
@@ -1152,32 +1160,45 @@ def invert_radial(model: ModelSpec, t: float, radii: Sequence[float]) -> Density
         head = env(0.5 * a) * a ** n / n
         cut = a * r > 1e-8
         head[cut] *= specfun.h_kernel_array(nu + 1.0, a[cut] * r[cut])
-        # the mid march from u_knee = 1 (rows with r < 30): 1.25 u (a running
-        # product, rounding as u + u / 4) while u / 4 is under the quarter
-        # period pi / (2r), then at most 16 quarter periods.  A row pads with
-        # panels of no width, so its edges depend on r and u_stop alone
-        size = max(math.ceil(math.log(30.0 / np.min(lay)) / math.log(1.25)), 0) + 1
-        g = np.cumprod(np.concatenate(([1.0], np.full(size, 1.25))))
-        e = _env_power(env, g, n - 1)
-        small = e < 1e-22 * np.maximum.accumulate(e * g) / n
-        g = g[:np.argmax(small) + 1] if small.any() else g
-        quarter = 0.5 * math.pi / lay
-        j = np.minimum(np.searchsorted(0.25 * g, quarter), g.size - 1)[:, None]
-        k = np.arange(1, g.size + 17)
-        end = np.minimum(30.0 / lay, g[-1])[:, None]
-        march = np.minimum(np.where(k <= j, g[np.minimum(k, g.size - 1)],
-                                    g[j] + (k - j) * quarter[:, None]), end)
-        edges = np.concatenate((np.geomspace(a, u_knee, 64, axis=1), march), axis=1)
-        terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
-        # the head's 63 panels pairwise, the march's in order: padding adds 0
-        total = np.cumsum(np.concatenate(((head + np.sum(terms[:, :63], axis=1))[:, None],
-                                          terms[:, 63:]), axis=1), axis=1)[:, -1]
-        mag = np.abs(head) + weigh(terms, edges[:, 1:])
-        # oscillatory tail in half periods of the Bessel kernel, stopped on
-        # the envelope tail past the panel ends
-        ends = _half_period_ends(edges[:, -1], math.pi / lay)
-        acc, tail_est, terms = _half_period_tail(
-            f, ends, lambda i, e: _tail_integral(env, n, e))
+        # below r ~ 2e-153 the tail ends, and the march of an envelope that
+        # never falls to its stop, pass u ~ 1e154, where u^2 and u^{n-1}
+        # overflow: env(u) u^{n-1} there is 0 (``_env_power``), or inf,
+        # which the tail refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            # the mid march from u_knee = 1 (rows with r < 30): 1.25 u (a running
+            # product, rounding as u + u / 4) while u / 4 is under the quarter
+            # period pi / (2r), then at most 16 quarter periods.  A row pads with
+            # panels of no width, so its edges depend on r and u_stop alone
+            size = max(math.ceil(math.log(30.0 / np.min(lay)) / math.log(1.25)), 0) + 1
+            g = np.cumprod(np.concatenate(([1.0], np.full(size, 1.25))))
+            # the envelope on the ladder in blocks of 32, 64, 128, ... rungs, up
+            # to the first block that holds the stop
+            top, lo, block = 0.0, 0, 32
+            while lo < g.size:
+                e = _env_power(env, g[lo:lo + block], n - 1)
+                peak = np.maximum(top, np.maximum.accumulate(e * g[lo:lo + block]))
+                small = e < 1e-22 * peak / n
+                if small.any():
+                    g = g[:lo + np.argmax(small) + 1]
+                    break
+                top, lo, block = peak[-1], lo + block, 2 * block
+            quarter = 0.5 * math.pi / lay
+            j = np.minimum(np.searchsorted(0.25 * g, quarter), g.size - 1)[:, None]
+            k = np.arange(1, g.size + 17)
+            end = np.minimum(30.0 / lay, g[-1])[:, None]
+            march = np.minimum(np.where(k <= j, g[np.minimum(k, g.size - 1)],
+                                        g[j] + (k - j) * quarter[:, None]), end)
+            edges = np.concatenate((np.geomspace(a, u_knee, 64, axis=1), march), axis=1)
+            terms = _panel_terms(f, edges, _gl16_x, _gl16_w)
+            # the head's 63 panels pairwise, the march's in order: padding adds 0
+            total = np.cumsum(np.concatenate(((head + np.sum(terms[:, :63], axis=1))[:, None],
+                                              terms[:, 63:]), axis=1), axis=1)[:, -1]
+            mag = np.abs(head) + weigh(terms, edges[:, 1:])
+            # oscillatory tail in half periods of the Bessel kernel, stopped on
+            # the envelope tail past the panel ends
+            ends = _half_period_ends(edges[:, -1], math.pi / lay)
+            acc, tail_est, terms = _half_period_tail(
+                f, ends, lambda i, e: _tail_integral(env, n, e))
         if np.any(np.isinf(tail_est)):
             raise IntegrabilityRefusal(f"envelope tail diverges at t={t}", diagnostics={"t": t})
         vals[~zero] = pref * (total + acc)

@@ -42,6 +42,9 @@ from levydens.quadrature import _accelerated
 # written by scripts/bessel_reference.py (mpmath at 40 digits)
 _BESSEL_REF = json.loads((pathlib.Path(__file__).parent / "data" / "bessel_ref.json").read_text())
 
+# every overflow an inversion meets on purpose is silenced where it happens
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_gaussian_grid_matches_heat_kernel():
     m = builtin_model("gaussian")
@@ -759,6 +762,123 @@ def test_filon_panels_keep_the_width_rule():
         assert env(edges[-2:-1])[0] >= 1e-25 > env(edges[-1:])[0]
 
 
+def _filon_panel_loop(env, u_lo, reach, pays=None):
+    """_filon_panels stepping the ladder as numpy arrays, with one
+    np.searchsorted a panel: the reference that the ladder of Python floats
+    must reproduce bit for bit."""
+    head = None
+    if u_lo == 0.0:
+        u_lo, head = inversion._filon_head(env, reach)
+    log_env = lambda u: np.log(np.maximum(env(u), 1e-300))
+    ratio, chunk = inversion._LADDER, inversion._LADDER_CHUNK
+    n = max(math.ceil(math.log(reach / u_lo) / math.log(ratio)), 0) + chunk
+    g = u_lo * ratio ** np.arange(n + 1)
+    L = log_env(g)
+    stop = math.log(inversion._FILON_STOP)
+    peak = float(g[np.argmax(L)])
+    if pays is not None:
+        spent = np.flatnonzero((L < stop) & (g > peak))
+        g_s = min(float(g[spent[0] - 1] if spent.size else g[-1]), inversion._FILON_CAP)
+        least = min(math.ceil(math.log(g_s / u_lo) / math.log(1.3) - 1e-9),
+                    inversion._FILON_PANELS)
+        if not pays(max(least, 1)):
+            return None
+    e, j = u_lo, 0
+    edges = [e]
+    for _ in range(inversion._FILON_PANELS):
+        slope = float(max((L[j] - L[j + 1]) / (g[j + 1] - g[j]),
+                          (L[j + 1] - L[j + 2]) / (g[j + 2] - g[j + 1])))
+        width = 0.3 * e
+        if slope > 0.0:
+            width = min(width, 4.0 / slope)
+        e += width
+        edges.append(e)
+        while e >= g[-2]:
+            more = g[-1] * ratio ** np.arange(1, chunk + 1)
+            g, L = np.concatenate((g, more)), np.concatenate((L, log_env(more)))
+        j = int(np.searchsorted(g, e, side="right")) - 1
+        level = L[j] + (L[j + 1] - L[j]) * (e - g[j]) / (g[j + 1] - g[j])
+        if (level < stop and e > peak) or e > inversion._FILON_CAP:
+            break
+    if pays is not None and not pays(len(edges) - 1):
+        return None
+    return inversion._FilonPanels(np.array(edges), head)
+
+
+_FILON_ENVELOPES = [
+    ("cauchy", {}, 1.0), ("stable", {"alpha": 0.3}, 1.0), ("stable", {"alpha": 1.5}, 1.0),
+    ("stable", {"alpha": 1.7}, 1.0), ("gaussian", {}, 1.0),
+    # (1 + u^2)^{-0.52} decays so slowly that the run is cut at the 1e12
+    # cap, far past the ladder sampled up to the window
+    ("sym_gamma", {}, 0.52),
+]
+
+
+@pytest.mark.parametrize("name, kw, t", _FILON_ENVELOPES)
+def test_filon_panels_match_the_panel_loop(name, kw, t):
+    x = _nodes(9, 0.8)
+    f = inversion._integrand_1d(builtin_model(name, **kw), t, x, 0.8)
+    for u_lo in (0.0, f.Xi):
+        got = _filon_panels(f.env, u_lo, f.Xi)
+        want = _filon_panel_loop(f.env, u_lo, f.Xi)
+        assert np.array_equal(got.edges, want.edges)
+        assert np.array_equal(got.head, want.head)
+        assert (got.edges[-1] > inversion._FILON_CAP) == (name == "sym_gamma")
+
+
+@pytest.mark.parametrize("name, kw, t, x, asks, laid_out", [
+    # nine-node stable 1.7: 73 panels pay at the lower bound, 82 do not
+    ("stable", {"alpha": 1.7}, 1.0, _nodes(9, 0.8), 2, False),
+    # refused at the lower bound, before any panel is laid out
+    ("gaussian", {}, 1.0, _nodes(5, 0.5), 1, False),
+    ("cauchy", {}, 1.0, np.array([0.0, 3.2]), 2, True),
+    ("sym_gamma", {}, 0.52, np.array([-1.0, 0.0, 1.0]), 2, True),
+])
+def test_routed_filon_panels_match_the_panel_loop(monkeypatch, name, kw, t, x, asks,
+                                                   laid_out):
+    # every run invert_grid lays out, from the origin or from the window,
+    # asks ``pays`` the same counts and returns the same panels as the loop
+    real = inversion._filon_panels
+    runs = []
+
+    def checked(env, u_lo, reach, pays=None):
+        asked = ([], [])
+
+        def spy(seen):
+            return None if pays is None else lambda k: seen.append(k) or pays(k)
+        got = real(env, u_lo, reach, spy(asked[0]))
+        want = _filon_panel_loop(env, u_lo, reach, spy(asked[1]))
+        assert asked[0] == asked[1] and (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(got.edges, want.edges) and got.head == want.head
+        runs.append((u_lo, len(asked[0]), got is not None))
+        return got
+    monkeypatch.setattr(inversion, "_filon_panels", checked)
+    invert_grid(builtin_model(name, **kw), t, x)
+    assert runs[0] == (0.0, asks, laid_out)
+    # a refused point route leaves the grid route, whose tail runs from its window
+    assert [u_lo > 0.0 for u_lo, _, _ in runs[1:]] == ([] if laid_out else [True])
+
+
+@pytest.mark.parametrize("x, step", [
+    (np.array([-0.8, 0.0, 0.8 * (1.0 + 0.9e-9)]), 0.8),
+    (np.array([-0.8, 0.0, 0.8 * (1.0 + 1.1e-9)]), None),
+    (np.array([-0.8, 0.0, math.nan]), None),
+    (np.array([-0.8, 0.0, math.inf]), None),
+    (np.array([math.nan, 0.0, 0.8]), None),
+    (np.array([0.0, math.inf]), None),
+])
+def test_uniform_step_boundary(x, step):
+    # |d - h| <= 1e-12 + 1e-9 |h| for every step d, h the first and finite
+    if step is not None:
+        assert inversion._uniform_step(x) == step
+        return
+    with pytest.raises(RangeError, match="grid"):
+        inversion._uniform_step(x)
+    with pytest.raises(RangeError, match="grid"):
+        invert_grid(builtin_model("gaussian"), 1.0, x)
+
+
 # -- the route chosen after the grid's first pass ------------------------------
 
 def _pass_refines(monkeypatch):
@@ -959,14 +1079,31 @@ def test_radial_march_stops_at_the_envelope_before_evaluating(monkeypatch, famil
     # the mid march runs to 30/r = 3e200 or 3e301, but its panels are laid
     # out only up to the envelope's stop: about 1,200 kernel points, where
     # evaluating the march to 30/r and cutting it afterwards took 34,428
-    # and 50,940
-    points = []
+    # and 50,940.  The ladder that finds the stop is sampled in blocks of
+    # 32, 64, ... rungs: 1,196 and 1,356 envelope points, where sampling it
+    # up to 30/r took 3,246 and 4,437
+    points, env_points = [], []
     real = specfun.h_kernel_array
     monkeypatch.setattr(specfun, "h_kernel_array",
                         lambda nu, z: points.append(np.size(z)) or real(nu, z))
+    real_env = inversion._env_power
+    monkeypatch.setattr(inversion, "_env_power",
+                        lambda env, u, p: env_points.append(np.size(u)) or real_env(env, u, p))
     f = invert_radial(builtin_model(family, dim=2), 1.0, [r])
     assert sum(points) <= 4000
+    assert sum(env_points) <= 1500
     assert abs(f.values[0] - closed_form(family, 1.0, np.array([r, 0.0]), dim=2)) <= f.tail_bound
+
+
+def test_radial_stop_ladder_of_32_rungs_is_one_block(monkeypatch):
+    # 30 / 0.25 = 120 lies between 1.25^21 and 1.25^22: the first block
+    # samples the whole ladder 1, 1.25, ..., 1.25^23, as one call did
+    sizes = []
+    real = inversion._env_power
+    monkeypatch.setattr(inversion, "_env_power",
+                        lambda env, u, p: sizes.append(np.size(u)) or real(env, u, p))
+    invert_radial(builtin_model("cauchy", dim=2), 1.0, [0.25])
+    assert sizes[0] == 24
 
 
 @pytest.mark.parametrize("name, kw, dim", [
