@@ -98,14 +98,11 @@ def doubling_report(model: ModelSpec, x_range: Tuple[float, float]) -> Tuple[flo
     return c, math.log(c) / math.log(2.0)
 
 
-def fit_regular_variation(table: rearrangement.RearrangementTable,
-                          window: Tuple[float, float]) -> Tuple[float, float]:
-    """Power-law fit of the table on the window.
-
-    Returns (rho, L_anchor) with nu(x) ~ x^{rho-1} L(x): rho - 1 is the
-    least-squares slope of ln nu vs ln x, and L_anchor = nu(x_edge) /
-    x_edge^{rho-1} at the right edge of the window.
-    """
+def _fit(table: rearrangement.RearrangementTable,
+         window: Tuple[float, float]) -> Tuple[float, float, float]:
+    """(rho, L_anchor, R^2) of ``fit_regular_variation``'s one line: the
+    least-squares line of ln nu against ln x over the finite positive table
+    nodes in the window, of which there must be at least 8."""
     x_lo, x_hi = float(window[0]), float(window[1])
     mask = (table.x_nodes >= x_lo) & (table.x_nodes <= x_hi) & \
         np.isfinite(table.nu_values) & (table.nu_values > 0.0)
@@ -118,23 +115,26 @@ def fit_regular_variation(table: rearrangement.RearrangementTable,
     x_edge = table.x_nodes[mask][-1]
     nu_edge = table.nu_values[mask][-1]
     l_anchor = float(nu_edge / x_edge ** (rho - 1.0))
-    return rho, l_anchor
-
-
-def _fit_r_squared(table, window) -> float:
-    x_lo, x_hi = window
-    mask = (table.x_nodes >= x_lo) & (table.x_nodes <= x_hi) & \
-        np.isfinite(table.nu_values) & (table.nu_values > 0.0)
-    ly = np.log(table.nu_values[mask])
     # L_anchor is pinned at the window edge; R^2 uses the least-squares line
-    lx = np.log(table.x_nodes[mask])
-    slope, intercept = np.polyfit(lx, ly, 1)
     fit = slope * lx + intercept
     ss_res = float(np.sum((ly - fit) ** 2))
     ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
     if ss_tot == 0.0:
-        return 1.0 if ss_res < 1e-20 else 0.0
-    return 1.0 - ss_res / ss_tot
+        r2 = 1.0 if ss_res < 1e-20 else 0.0
+    else:
+        r2 = 1.0 - ss_res / ss_tot
+    return rho, l_anchor, r2
+
+
+def fit_regular_variation(table: rearrangement.RearrangementTable,
+                          window: Tuple[float, float]) -> Tuple[float, float]:
+    """Power-law fit of the table on the window.
+
+    Returns (rho, L_anchor) with nu(x) ~ x^{rho-1} L(x): rho - 1 is the
+    least-squares slope of ln nu vs ln x, and L_anchor = nu(x_edge) /
+    x_edge^{rho-1} at the right edge of the window.
+    """
+    return _fit(table, window)[:2]
 
 
 def predict_pt0(model: ModelSpec, direction: str = "t_to_0") -> AsymptoticReport:
@@ -161,8 +161,7 @@ def predict_pt0(model: ModelSpec, direction: str = "t_to_0") -> AsymptoticReport
 
     x_lo, x_hi = 1.0 / t_hi, 1.0 / t_lo
     table = rearrangement.build_table(model, 2.0 * x_hi, x_min=min(x_lo, 1e-3))
-    rho, l_anchor = fit_regular_variation(table, (x_lo, x_hi))
-    r2 = _fit_r_squared(table, (x_lo, x_hi))
+    rho, l_anchor, r2 = _fit(table, (x_lo, x_hi))
 
     n = model.dim
     predicted = None

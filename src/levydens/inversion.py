@@ -7,20 +7,25 @@ length M whose period M hx in x is the wrap (frequencies beyond one DFT
 period fold, which is exactly the aliasing the grid step allows), with one
 Richardson step-halving pass to kill the leading h^2 trapezoid error coming
 from kinks like |xi| at 0.  The step-halving pass doubles M over the same
-window, so the coarse samples are its even samples: they are reused and
-only the new odd samples are evaluated.  A symmetric exponent (no one-sided
-part, no point atoms, no drift) gives a real even integrand, and only the
-half axis xi >= 0 is sampled.
+window, so the coarse samples are its even samples: they are reused, and
+only the new odd samples are evaluated, summed at the coarse wrap on the
+coarse route, turned by the twiddle e^{-i pi m / M} and added to the coarse
+sums.  A symmetric exponent (no one-sided part, no point atoms, no drift)
+gives a real even integrand: only the half axis xi >= 0 is sampled, the
+sums are 2 Re X, and every bin is read at min(m, M - m), so the density
+comes out exactly even.
 
 A 1-d grid takes one of three routes, chosen per inversion by counted cost
 (``_route``) from M, the sample count, the node count and, for a symmetric
 exponent, the point route's panel count, with M the wrap that the grid's
-first pass predicts.  Two of them take the DFT:
+first pass predicts.  Two of them take the DFT.  They run one pass
+(``_grid_1d_sum``) and differ only in how ``_sums_at`` sums at a set of
+bins:
 
 * the fold adds each sample into bin k mod M by slices (a contiguous run of
-  k lands on contiguous bins) and transforms all M bins by FFT; the mirrored
-  half axis goes through ``rfft``.  Grids with many more samples than bins
-  and too many nodes for the point route need it.
+  k lands on contiguous bins) and transforms all M bins by FFT (``rfft``
+  for the real half axis of a symmetric F).  Grids with many more samples
+  than bins and too many nodes for the point route need it.
 * the zoom, when no sample wraps and the samples and nodes are far fewer
   than M, evaluates the sum only at the output bins and the wrap-edge probe
   bins by Bluestein's chirp-z convolution, of length about samples + nodes
@@ -187,55 +192,51 @@ def _add_wrapped(bins: np.ndarray, F: np.ndarray, k0: int) -> None:
     bins[:rest.size - whole] += rest[whole:]
 
 
+def _span(nside: int, sym: bool, odd: bool = False) -> Tuple[int, int]:
+    """(lo, hi): a pass's samples are F_k for k = lo .. hi - 1 (``_samples``)."""
+    return (0 if sym else -nside), (nside if odd else nside + 1)
+
+
+def _samples(Ffun, dxi: float, nside: int, sym: bool, odd: bool, a: int, b: int) -> np.ndarray:
+    """F_k, k = a .. b - 1, of a pass over nside steps a side: F(k dxi),
+    k = lo..nside, with half weight at both ends; or with ``odd`` the
+    midpoints F((2k + 1) dxi), k = lo..nside-1, that halving a step 2 dxi
+    adds to the same window.  lo = 0 for a symmetric F (real and even),
+    whose sums are 2 Re X; else lo = -nside."""
+    if odd:
+        k = np.arange(2 * a + 1, 2 * b + 1, 2, dtype=float)
+    else:
+        k = np.arange(a, b, dtype=float)
+    F = np.asarray(Ffun(k * dxi), dtype=float if sym else complex)
+    if not odd:
+        lo, hi = _span(nside, sym)
+        if a == lo:
+            F[0] *= 0.5
+        if b == hi:
+            F[-1] *= 0.5
+    return F
+
+
 def _fold_frequency(Ffun, dxi: float, nside: int, M: int, sym: bool,
                     odd: bool = False) -> np.ndarray:
-    """Fold trapezoid samples into M DFT bins: bin j sums the samples whose
-    index k has k mod M = j.
-
-    With ``odd`` false the samples are F(k dxi), k = -nside..nside, with half
-    weight at both ends.  With ``odd`` true they are F((2k + 1) dxi),
-    k = -nside..nside-1: the midpoints that halving a step 2 dxi adds to the
-    same window, which land on the odd bins 2 (k mod M) + 1 of a 2M wrap.
-
-    ``sym`` marks F real and even.  Then only k >= 0 is evaluated (the k = 0
-    sample at half weight) and folded in float64, and the negative half-axis
-    is the mirror image of the bins: j + (M - j) for even samples, and
-    j + (M - 1 - j) for odd ones.  Each sample is evaluated once and streamed
-    in steps of ``_FOLD_STREAM``, so multi-million-sample windows never
-    materialize."""
-    dtype = float if sym else complex
-    folded = np.zeros(M, dtype=dtype)
-    lo = 0 if sym else -nside
-    hi = nside if odd else nside + 1
+    """Fold a pass's samples (``_samples``) into M DFT bins: bin j sums the
+    F_k whose index k has k mod M = j.  Each sample is evaluated once and
+    streamed in steps of ``_FOLD_STREAM``, so multi-million-sample windows
+    never materialize."""
+    folded = np.zeros(M, dtype=float if sym else complex)
+    lo, hi = _span(nside, sym, odd)
     for a in range(lo, hi, _FOLD_STREAM):
-        b = min(a + _FOLD_STREAM, hi)
-        if odd:
-            k = np.arange(2 * a + 1, 2 * b + 1, 2, dtype=float)
-        else:
-            k = np.arange(a, b, dtype=float)
-        F = np.asarray(Ffun(k * dxi), dtype=dtype)
-        if not odd:
-            if a == lo:
-                F[0] *= 0.5
-            if b == hi:
-                F[-1] *= 0.5
-        _add_wrapped(folded, F, a)
-    if sym:
-        if odd:
-            folded += folded[::-1]
-        else:
-            folded[1:] += folded[:0:-1]
-            folded[0] *= 2.0
+        _add_wrapped(folded, _samples(Ffun, dxi, nside, sym, odd, a,
+                                      min(a + _FOLD_STREAM, hi)), a)
     return folded
 
 
-def _edge_bins(M: int, hx: float, sym: bool) -> Tuple[np.ndarray, np.ndarray]:
+def _edge_bins(M: int, hx: float) -> Tuple[np.ndarray, np.ndarray]:
     """Bins of the wrap-edge band and of the quarter-period ring.
 
     Bin (j + M/2) mod M holds x = j hx - W/2, W = M hx; the band is
     |x| >= W/2 - 4 hx and the ring ||x| - W/4| < 2 hx.  Only the j near
-    0, M/4, 3M/4 and M can qualify, so only those are tested.  The half
-    spectrum of a symmetric F is read at bin min(b, M - b)."""
+    0, M/4, 3M/4 and M can qualify, so only those are tested."""
     W = M * hx
     q = M // 4
     j = np.concatenate([np.arange(0, 8), np.arange(q - 4, q + 5),
@@ -247,8 +248,6 @@ def _edge_bins(M: int, hx: float, sym: bool) -> Tuple[np.ndarray, np.ndarray]:
     # wrap edge bounds the per-image contribution for decaying densities
     band = np.abs(x) >= 0.5 * W - 4.0 * hx
     quarter = np.abs(np.abs(x) - 0.25 * W) < 2.0 * hx
-    if sym:
-        b = np.minimum(b, M - b)
     return b[band], b[quarter]
 
 
@@ -260,11 +259,17 @@ def _edge_levels(band: np.ndarray, quarter: np.ndarray) -> Tuple[float, float]:
     return alias_est, p_quarter
 
 
-def _wrap_edge(spec, M: int, hx: float, sym: bool) -> Tuple[float, float]:
-    """``_edge_levels`` read from the spectrum of one pass (the half
-    spectrum for a symmetric F)."""
-    band, quarter = _edge_bins(M, hx, sym)
-    return _edge_levels(np.abs(spec[band]), np.abs(spec[quarter]))
+def _phase(r: np.ndarray, M: int, sign: float,
+           out: Optional[np.ndarray] = None) -> np.ndarray:
+    """e^{sign i pi r / M} for integers r, reduced mod 2 M exactly (in place
+    in r), written into ``out`` when given."""
+    r %= 2 * M
+    theta = r * (sign * math.pi / M)
+    if out is None:
+        out = np.empty(r.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
 
 
 class _Zoom:
@@ -285,23 +290,11 @@ class _Zoom:
         # kernel at lag u = i - (k - lo) in [1 - size, n_out), wrapped mod N
         v = np.arange(1 - size, n_out, dtype=np.int64) - lo
         h = np.zeros(self.N, dtype=complex)
-        self._phase(v[size - 1:] ** 2, 1.0, h[:n_out])
-        self._phase(v[:size - 1] ** 2, 1.0, h[self.N - size + 1:])
+        _phase(v[size - 1:] ** 2, M, 1.0, h[:n_out])
+        _phase(v[:size - 1] ** 2, M, 1.0, h[self.N - size + 1:])
         self.kernel = np.fft.fft(h, out=h)
         i = np.arange(n_out, dtype=np.int64)
-        self.post = self._phase(i * i, -1.0)
-
-    def _phase(self, r: np.ndarray, sign: float,
-               out: Optional[np.ndarray] = None) -> np.ndarray:
-        """e^{sign i pi r / M} for integers r, reduced mod 2 M exactly (in
-        place in r), written into ``out`` when given."""
-        r %= 2 * self.M
-        theta = r * (sign * math.pi / self.M)
-        if out is None:
-            out = np.empty(r.shape, dtype=complex)
-        np.cos(theta, out=out.real)
-        np.sin(theta, out=out.imag)
-        return out
+        self.post = _phase(i * i, M, -1.0)
 
     def run(self, F: np.ndarray, s: int) -> np.ndarray:
         """X_{s + i} for i = 0 .. n_out - 1."""
@@ -309,7 +302,7 @@ class _Zoom:
         r = k + 2 * (s % self.M)
         r *= k
         a = np.zeros(self.N, dtype=complex)
-        self._phase(r, -1.0, a[:F.size])
+        _phase(r, self.M, -1.0, a[:F.size])
         del k, r
         a[:F.size] *= F
         np.fft.fft(a, out=a)
@@ -330,12 +323,14 @@ class _Zoom:
         return out
 
 
-class _ZoomSums(NamedTuple):
-    """What a zoom pass hands its step-halving pass: the plan, the unscaled
-    sums at the output bins and the summed sample magnitude."""
-    zoom: _Zoom
+class _PassSums(NamedTuple):
+    """What a pass hands its step-halving pass: the unscaled sums at the
+    output bins, the summed magnitude the transforms took in, the wrap M and
+    the zoom plan (None on the fold route)."""
     sums: np.ndarray
     mag: float
+    M: int
+    zoom: Optional[_Zoom]
 
 
 _EDGE_RUN = 16     # longest cluster of ``_edge_bins``, read by one zoom run
@@ -387,13 +382,13 @@ def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
     """'fold', 'zoom' or 'point': the route of least counted cost.
 
     A length-n FFT counts n log2 n, and so does evaluating n exact-integer
-    phases.  The fold transforms M and then 2 M bins; for a symmetric F its
-    cheaper ``rfft`` is offset by the passes that zero, mirror and copy the
-    bins.  The zoom, which no wrapping sample allows, computes its chirp
-    kernel (phases and one FFT), then per run of bins the sample phases and
-    two FFTs of length N.  The runs are the output nodes, the wrap-edge bins
-    (two runs with the mirror, three without) and the step-halving odd
-    samples.
+    phases.  The fold transforms M bins in each of its two passes (the
+    step-halving pass folds only its odd samples, at the coarse wrap).  The
+    zoom, which no wrapping sample allows, computes its chirp kernel (phases
+    and one FFT), then per run of bins the sample phases and two FFTs of
+    length N.  The runs are the output nodes, the wrap-edge bins (two runs
+    for a symmetric F, read at min(m, M - m); three otherwise) and the
+    step-halving odd samples.
 
     Given its panel count P, the point route (a symmetric F only) counts
     W (16 + K nx) P: 16 exponent samples a panel and K moment terms per
@@ -423,7 +418,7 @@ def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
     size = nside + 1 if sym else 2 * nside + 1
     runs = 4 if sym else 5
     fold_first = M * math.log2(M)
-    fold = fold_first + 2 * M * math.log2(2 * M)
+    fold = 2.0 * fold_first
     zoom = zoom_first = math.inf
     if 2 * nside + 1 <= M:      # no sample wraps
         N = _sfft.next_fast_len(size + max(nx, _EDGE_RUN) - 1)
@@ -446,34 +441,27 @@ def _wrap(Xi: float, x0: float, hx: float, nx: int, refine: int = 1) -> Tuple[in
     return M, dxi, int(math.ceil(Xi / dxi))
 
 
-def _zoom_pass(Ffun, dxi: float, nside: int, zoom: _Zoom, sym: bool, bins: np.ndarray,
-               coarse: Optional[_ZoomSums] = None):
-    """Trapezoid sums at integer bins by the plan ``zoom``: without
-    ``coarse`` over the samples k = zoom.lo..nside (zoom.lo = 0 for a
-    symmetric F, summed as 2 Re; -nside otherwise), with it over the odd
-    samples 2k + 1, k = zoom.lo..nside-1, of the step-halving pass only
-    (``nside`` then counts coarse samples), added to the coarse sums with the
-    twiddle e^{-2 pi i m / (2 zoom.M)}.  Returns (sums, summed sample
-    magnitude)."""
-    dtype = float if sym else complex
-    if coarse is None:
-        k = np.arange(zoom.lo, nside + 1, dtype=float)
-        F = np.asarray(Ffun(k * dxi), dtype=dtype)
-        F[0] *= 0.5
-        F[-1] *= 0.5
+def _sums_at(Ffun, dxi: float, nside: int, M: int, sym: bool, bins: np.ndarray,
+             zoom: Optional[_Zoom], odd: bool = False) -> Tuple[np.ndarray, float]:
+    """X_m = sum_k F_k e^{-2 pi i k m / M} over a pass's samples F_k
+    (``_samples``) at the integer bins m, and the summed magnitude that the
+    transform takes in; the one place where a pass forms its sums.
+
+    With no ``zoom`` the samples are folded into M bins (``_fold_frequency``)
+    and one FFT of the bins is read at the bins; for a real F that is the
+    half spectrum of ``rfft``, with X_{M - j} = conj X_j.  With ``zoom`` the
+    chirp-z plan sums the samples at the bins alone."""
+    if zoom is not None:
+        F = _samples(Ffun, dxi, nside, sym, odd, *_span(nside, sym, odd))
+        return zoom.at(F, bins), float(np.sum(np.abs(F)))
+    folded = _fold_frequency(Ffun, dxi, nside, M, sym, odd)
+    j = bins % M
+    if sym:
+        X = np.fft.rfft(folded)[np.minimum(j, M - j)]
+        X = np.where(j > M // 2, X.conj(), X)
     else:
-        k = np.arange(2 * zoom.lo + 1, 2 * nside + 1, 2, dtype=float)
-        F = np.asarray(Ffun(k * dxi), dtype=dtype)
-    X = zoom.at(F, bins)
-    mag = (2.0 if sym else 1.0) * float(np.sum(np.abs(F)))
-    if coarse is not None:
-        # the odd samples sit at odd indices of a wrap twice the plan's
-        X *= zoom._phase(bins.copy(), -1.0)
-        mag += coarse.mag
-    sums = 2.0 * X.real if sym else X
-    if coarse is not None:
-        sums = sums + coarse.sums
-    return sums, mag
+        X = np.fft.fft(folded)[j]
+    return X, float(np.sum(np.abs(folded)))
 
 
 def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
@@ -482,20 +470,23 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
     x-grid.  Node i sits at x = m hx with m = x0 / hx + i, and its value is
     the DFT of the samples at bin m mod M.
 
-    Two routes give the same sums; ``_route`` picks by transform cost.
-    The fold adds the samples into M bins (``_fold_frequency``) and
-    transforms them all by FFT (``rfft`` for a symmetric F, read at bin
-    min(m, M - m)); it is the route once samples wrap.  The zoom (``_Zoom``)
-    evaluates the sum only at the output and ``_edge_bins`` bins, with no
-    array of length M.
+    Both DFT routes run this one pass and differ only in how ``_sums_at``
+    sums at a set of bins: the fold, the route once samples wrap, or the
+    zoom (``_Zoom``), with no array of length M; ``_route`` picks by
+    transform cost.  A symmetric F samples only k >= 0, its sums are 2 Re X,
+    and every bin it reads is min(m, M - m) of this pass's wrap M, so
+    p(-x) == p(x) exactly.  The first pass reads the output bins and the
+    ``_edge_bins`` in one call.
 
     ``coarse`` is the ``fold`` returned by the pass at twice this step over
     the same window, whose samples are exactly the even samples of this
-    pass; only the odd samples are evaluated, on the coarse pass's route.
+    pass.  Only the odd samples are evaluated, at the coarse wrap and on the
+    coarse route: sitting at the odd indices of this pass's wrap, their sums
+    take the twiddle e^{-i pi m / M_c} and are added to the coarse sums.
     Returns (p, ``_edge_levels`` or None with ``coarse``, step, M, fold),
-    fold being (bins or ``_ZoomSums``, nside, rounding estimate); the
-    estimate is eps times the summed magnitude the transform takes in, the
-    step / 2 pi scale and log2 of the transform length."""
+    fold being (``_PassSums``, nside, rounding estimate); the estimate is
+    eps times the summed magnitude the transforms take in, the step / 2 pi
+    scale and log2 of the transform length run."""
     M, dxi_eff, nside = _wrap(Xi, x0, hx, nx, refine)
     scale = dxi_eff / (2.0 * math.pi)
     shift = _lattice_shift(x0, hx)
@@ -503,44 +494,35 @@ def _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=1, coarse=None):
         raise RangeError("grid origin must be an integer multiple of the step (field 'grid')")
     bins = np.arange(nx) + shift
     if coarse is None:
+        zoom = None
         if _route(M, nside, nx, sym) == "zoom":
-            lo = 0 if sym else -nside
-            zoom = _Zoom(M, lo, nside + 1 - lo, max(nx, _EDGE_RUN))
-            band, quarter = _edge_bins(M, hx, sym)
-            sums, mag = _zoom_pass(Ffun, dxi_eff, nside, zoom, sym,
-                                   np.concatenate((bins, band, quarter)))
-            spec = scale * sums
-            edge = _edge_levels(np.abs(spec[nx:nx + band.size]),
-                                np.abs(spec[nx + band.size:]))
-            rnd = _EPS * mag * scale * math.log2(zoom.N)
-            return spec[:nx], edge, dxi_eff, M, (_ZoomSums(zoom, sums[:nx], mag), nside, rnd)
-        folded = _fold_frequency(Ffun, dxi_eff, nside, M, sym)
+            lo, hi = _span(nside, sym)
+            zoom = _Zoom(M, lo, hi - lo, max(nx, _EDGE_RUN))
+        band, quarter = _edge_bins(M, hx)
+        bins = np.concatenate((bins, band, quarter))
+        M_s, nside_s = M, nside
     else:
-        state, nside_c, _ = coarse
-        zoomed = isinstance(state, _ZoomSums)
-        if nside != 2 * nside_c or 2 * (state.zoom.M if zoomed else state.size) != M:
+        state, nside_s, _ = coarse
+        if nside != 2 * nside_s or 2 * state.M != M:
             raise QuadratureError("the step-halving pass must double the coarse samples")
-        if zoomed:
-            sums, mag = _zoom_pass(Ffun, dxi_eff, nside_c, state.zoom, sym, bins,
-                                   coarse=state)
-            rnd = _EPS * mag * scale * math.log2(state.zoom.N)
-            return scale * sums, None, dxi_eff, M, (state._replace(sums=sums, mag=mag),
-                                                   nside, rnd)
-        folded = np.empty(M, dtype=state.dtype)
-        folded[0::2] = state
-        folded[1::2] = _fold_frequency(Ffun, dxi_eff, nside_c, M // 2, sym, odd=True)
-    # one DFT serves both the requested grid and the wrap-edge probe: an
-    # integer-step origin is a cyclic shift of the output bins
-    idx = bins % M
+        zoom, M_s = state.zoom, state.M
     if sym:
-        spec = np.fft.rfft(folded)
-        idx = np.minimum(idx, M - idx)
-    else:
-        spec = np.fft.fft(folded)
-    spec *= scale
-    edge = None if coarse is not None else _wrap_edge(spec, M, hx, sym)
-    rnd = _EPS * float(np.sum(np.abs(folded))) * scale * math.log2(M)
-    return spec[idx], edge, dxi_eff, M, (folded, nside, rnd)
+        bins %= M
+        bins = np.minimum(bins, M - bins)
+    X, mag = _sums_at(Ffun, dxi_eff, nside_s, M_s, sym, bins, zoom, odd=coarse is not None)
+    if coarse is not None:
+        X *= _phase(bins.copy(), M_s, -1.0)
+    sums = 2.0 * X.real if sym else X
+    mag *= 2.0 if sym else 1.0
+    if coarse is not None:
+        sums += state.sums
+        mag += state.mag
+    spec = scale * sums
+    rnd = _EPS * mag * scale * math.log2(zoom.N if zoom is not None else M_s)
+    edge = None
+    if coarse is None:
+        edge = _edge_levels(np.abs(spec[nx:nx + band.size]), np.abs(spec[nx + band.size:]))
+    return spec[:nx], edge, dxi_eff, M, (_PassSums(sums[:nx], mag, M, zoom), nside, rnd)
 
 
 _filon_K = 12

@@ -50,8 +50,10 @@ GAMMA_COMPENSATOR = float(_ci1 * math.sin(1.0) + (0.5 * math.pi - _si1) * math.c
 class ModelSpec:
     """A Levy triplet (drift, Gaussian matrix, jump measure) in R^dim.
 
-    ``g_exact``/``psi_exact`` are optional closed forms attached to built-in
-    models; they bypass quadrature but never change the model's meaning.
+    ``g_exact`` (the jump part of Re psi as a function of |xi|) and
+    ``psi_exact_vec`` (psi on an array of frequencies, dim 1) are optional
+    closed forms attached to built-in models; they bypass quadrature but
+    never change the model's meaning.
     """
 
     dim: int
@@ -61,7 +63,6 @@ class ModelSpec:
     isotropic: bool = False
     name: str = ""
     g_exact: Optional[Callable] = field(default=None, compare=False, repr=False)
-    psi_exact: Optional[Callable] = field(default=None, compare=False, repr=False)
     psi_exact_vec: Optional[Callable] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
@@ -184,8 +185,8 @@ def eval_re_psi(model: ModelSpec, xi) -> float:
 def eval_psi(model: ModelSpec, xi) -> complex:
     """Full complex exponent; conjugate-symmetric, psi(0) = 0."""
     v = _as_xi(model, xi)
-    if model.psi_exact is not None and model.dim == 1:
-        return complex(model.psi_exact(float(v[0])))
+    if model.psi_exact_vec is not None:
+        return complex(model.psi_exact_vec(v)[0])
     return complex(eval_re_psi(model, v), float(_im_psi(model, v[None, :])[0]))
 
 
@@ -499,11 +500,6 @@ def _log1p_sq(u) -> np.ndarray:
     return np.log1p(u ** 2)
 
 
-def _log1p_sq_scalar(xi: float) -> float:
-    """``_log1p_sq`` for one float, by libm."""
-    return math.log1p(xi * xi) if abs(xi) <= 1e150 else 2.0 * math.log(abs(xi))
-
-
 def _atoms_dyadic(masses) -> MeasureSpec:
     atoms = tuple(
         AtomSpec(mass=float(b), radius=2.0 ** (-j))
@@ -533,8 +529,7 @@ def builtin_model(name: str, **params) -> ModelSpec:
     if name == "gaussian":
         _reject_extra(name, params)
         return ModelSpec(n, zeros, eye, none, isotropic=True, name="gaussian",
-                         g_exact=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-                         psi_exact=(lambda xi: complex(xi * xi)) if n == 1 else None)
+                         g_exact=lambda u: np.zeros_like(np.asarray(u, dtype=float)))
     if name == "cauchy":
         params.setdefault("alpha", 1.0)
         return builtin_model("stable", dim=n, **params)._rename("cauchy")
@@ -545,8 +540,7 @@ def builtin_model(name: str, **params) -> ModelSpec:
             return builtin_model("gaussian", dim=n)._rename("stable")
         meas = MeasureSpec(variant="family", family="stable", params={"alpha": alpha})
         return ModelSpec(n, zeros, zq, meas, isotropic=True, name="stable",
-                         g_exact=lambda u, a=alpha: np.abs(np.asarray(u, float)) ** a,
-                         psi_exact=(lambda xi, a=alpha: complex(abs(xi) ** a)) if n == 1 else None)
+                         g_exact=lambda u, a=alpha: np.abs(np.asarray(u, float)) ** a)
     if name == "tempered_stable":
         alpha = float(params.pop("alpha", 1.5))
         lam = float(params.pop("lam", 1.0))
@@ -569,7 +563,6 @@ def builtin_model(name: str, **params) -> ModelSpec:
         return ModelSpec(
             1, (-GAMMA_COMPENSATOR,), ((0.0,),), meas, isotropic=False, name="gamma",
             g_exact=lambda u: 0.5 * _log1p_sq(u),
-            psi_exact=lambda xi: complex(0.5 * _log1p_sq_scalar(xi), -math.atan(xi)),
             psi_exact_vec=lambda xi: 0.5 * _log1p_sq(xi) - 1j * np.arctan(np.asarray(xi, float)))
     if name == "sym_gamma":
         _reject_extra(name, params)
@@ -577,8 +570,7 @@ def builtin_model(name: str, **params) -> ModelSpec:
             raise ModelFormatError("sym_gamma builtin is one-dimensional", field="dim")
         meas = MeasureSpec(variant="family", family="gamma_type")
         return ModelSpec(1, (0.0,), ((0.0,),), meas, isotropic=True, name="sym_gamma",
-                         g_exact=_log1p_sq,
-                         psi_exact=lambda xi: complex(_log1p_sq_scalar(xi)))
+                         g_exact=_log1p_sq)
     if name == "exa2_logkernel":
         _reject_extra(name, params)
         if n != 1:

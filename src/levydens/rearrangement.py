@@ -62,14 +62,6 @@ class RearrangementTable:
     method: str                    # 'radial_bisection' or 'grid_count'
     cell_size: float = 0.0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write(f"# method={self.method}\n")
-            fh.write(f"# cell_size={self.cell_size!r}\n")
-            fh.write("x,nu\n")
-            for x, v in zip(self.x_nodes, self.nu_values):
-                fh.write(f"{x!r},{v!r}\n")
-
 
 class _Shell(NamedTuple):
     vals: np.ndarray     # sorted Re psi at the centres of the cells with xi_1 > 0

@@ -186,3 +186,23 @@ def test_no_module_imports_a_name_it_never_uses():
                    for alias in node.names
                    if (alias.asname or alias.name).split(".")[0] not in read]
     assert unused == []
+
+
+def test_one_function_forms_the_dft_sums():
+    # both 1-d DFT routes run one pass: in inversion only the chirp-z plan's
+    # methods and _sums_at, which picks between the fold and the plan, run
+    # a transform
+    tree = ast.parse(pathlib.Path(inversion.__file__).read_text())
+    callers = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}{child.name}.")
+                continue
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", getattr(child.func, "id", None)) in ("fft", "ifft", "rfft"):
+                callers.add(scope.rstrip("."))
+            walk(child, scope)
+    walk(tree, "")
+    assert sorted(callers) == ["_Zoom.__init__", "_Zoom.run", "_sums_at"]

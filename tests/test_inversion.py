@@ -20,15 +20,16 @@ from levydens import inversion, quadrature, specfun
 from levydens.inversion import (
     _FOLD_CHUNK,
     _Zoom,
-    _ZoomSums,
+    _edge_bins,
+    _edge_levels,
     _filon_panels,
     _filon_tail,
     _fold_frequency,
     _grid_1d_sum,
     _lattice_sum_2d,
     _spherical_jn_orders,
+    _sums_at,
     _tail_integral,
-    _wrap_edge,
     closed_form,
     invert_grid,
     invert_radial,
@@ -196,7 +197,7 @@ def test_tail_bound_reported():
     assert 0.0 <= f.tail_bound < 1e-6
 
 
-# -- the frequency fold against a naive reference -------------------------
+# -- the DFT routes against a naive reference ------------------------------
 
 def _even_F(xi):
     return 1.0 / (1.0 + np.abs(xi)) ** 1.2
@@ -207,20 +208,35 @@ def _complex_F(xi):
     return (1.0 - 1j * xi) ** -1.5
 
 
-def _naive_fold(Ffun, dxi, nside, M, odd=False):
-    """np.add.at over every sample index, k = -nside..nside (or the odd
-    midpoints 2k + 1, k = -nside..nside-1), into bin k mod M."""
+def _full_samples(Ffun, dxi, nside, odd=False):
+    """(index, sample) over the whole axis: k dxi, k = -nside..nside, with
+    half weight at both ends; or the odd midpoints (2k + 1) dxi,
+    k = -nside..nside-1, indexed 2k + 1 of a wrap twice as long."""
     if odd:
-        k = np.arange(-nside, nside)
-        F = np.asarray(Ffun((2 * k + 1) * dxi), dtype=complex)
-    else:
-        k = np.arange(-nside, nside + 1)
-        F = np.asarray(Ffun(k * dxi), dtype=complex)
-        F[0] *= 0.5
-        F[-1] *= 0.5
+        j = 2 * np.arange(-nside, nside) + 1
+        return j, np.asarray(Ffun(j * dxi), dtype=complex)
+    k = np.arange(-nside, nside + 1)
+    F = np.asarray(Ffun(k * dxi), dtype=complex)
+    F[0] *= 0.5
+    F[-1] *= 0.5
+    return k, F
+
+
+def _naive_fold(Ffun, dxi, nside, M):
+    """np.add.at of every sample k = -nside..nside into bin k mod M."""
+    k, F = _full_samples(Ffun, dxi, nside)
     out = np.zeros(M, dtype=complex)
     np.add.at(out, k % M, F)
     return out
+
+
+def _naive_dft(Ffun, dxi, nside, M, bins, odd=False):
+    """sum_k F_k e^{-2 pi i k m / M} over every sample of the axis, one bin at
+    a time, each phase reduced in exact integers; the odd samples sit at the
+    odd indices of the wrap 2 M."""
+    k, F = _full_samples(Ffun, dxi, nside, odd)
+    P = 2 * M if odd else M
+    return np.array([np.sum(F * np.exp(-2j * math.pi * ((k * m) % P) / P)) for m in bins])
 
 
 def _rel(got, want):
@@ -233,12 +249,27 @@ def _rel(got, want):
 @pytest.mark.parametrize("sym", [True, False])
 @pytest.mark.parametrize("odd", [False, True])
 def test_fold_matches_naive_reference(M, sym, odd):
+    # each route's sums against a naive DFT of all samples of the axis: a
+    # symmetric F samples k >= 0 and is 2 Re X; odd samples take the twiddle
+    # e^{-i pi m / M}.  The bins reach past M / 2 (and below 0 without the
+    # mirror), where the half spectrum of a real F is read conjugated
     Ffun = _even_F if sym else _complex_F
     nside = _FOLD_CHUNK + 4321
     dxi = 1e-3
-    got = _fold_frequency(Ffun, dxi, nside, M, sym, odd=odd)
-    assert got.dtype == (np.float64 if sym else np.complex128)
-    assert _rel(got, _naive_fold(Ffun, dxi, nside, M, odd=odd)) <= 1e-13
+    bins = np.array([0, 1, 5, M // 3, M // 2, M // 2 + 1, M - 2, M - 1])
+    if not sym:
+        bins = np.concatenate((bins, [-3, -M // 2]))
+    want = _naive_dft(Ffun, dxi, nside, M, bins, odd=odd)
+    lo, hi = inversion._span(nside, sym)
+    for zoom in (None, _Zoom(M, lo, hi - lo, 24)):
+        got = _sums_at(Ffun, dxi, nside, M, sym, bins.copy(), zoom, odd=odd)[0]
+        if odd:
+            got = got * np.exp(-1j * math.pi * (bins % (2 * M)) / M)
+        if sym:
+            got = 2.0 * got.real
+        assert _rel(got, want) <= 1e-13
+    folded = _fold_frequency(Ffun, dxi, nside, M, sym, odd=odd)
+    assert folded.dtype == (np.float64 if sym else np.complex128)
 
 
 @pytest.mark.parametrize("sym", [True, False])
@@ -248,16 +279,15 @@ def test_grid_sum_and_step_halving_reuse(sym):
     Xi = 1.5e4                       # nside ~ 3e5, past one chunk
     p1, edge, d1, M1, fold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym)
     nside1 = fold1[1]
-    assert nside1 > _FOLD_CHUNK
-    ref1 = _naive_fold(Ffun, d1, nside1, M1)
-    assert _rel(fold1[0], ref1) <= 1e-13
-    spec1 = np.fft.fft(ref1) * d1 / (2.0 * math.pi)
-    shift = int(round(x0 / hx))
-    assert _rel(p1, spec1[(np.arange(nx) + shift) % M1]) <= 1e-13
-    # the wrap-edge levels, read from the full spectrum of the reference
-    alias_ref, quarter_ref = _wrap_edge(spec1, M1, hx, False)
-    assert edge[0] == pytest.approx(alias_ref, rel=1e-13)
-    assert edge[1] == pytest.approx(quarter_ref, rel=1e-13)
+    assert nside1 > _FOLD_CHUNK and fold1[0].zoom is None and fold1[0].M == M1
+    scale1 = d1 / (2.0 * math.pi)
+    bins = np.arange(nx) + int(round(x0 / hx))
+    assert _rel(p1, scale1 * _naive_dft(Ffun, d1, nside1, M1, bins)) <= 1e-13
+    # the wrap-edge levels, read from the full spectrum of every sample
+    spec1 = np.fft.fft(_naive_fold(Ffun, d1, nside1, M1)) * scale1
+    band, quarter = _edge_bins(M1, hx)
+    assert edge == pytest.approx(_edge_levels(np.abs(spec1[band]), np.abs(spec1[quarter])),
+                                 rel=1e-13)
 
     # the step-halving pass reuses the coarse samples: compare it with a
     # full fold of every fine-step sample
@@ -265,11 +295,9 @@ def test_grid_sum_and_step_halving_reuse(sym):
     p2, none, d2, M2, fold2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx,
                                            sym, refine=2, coarse=fold1)
     assert none is None and d2 == 0.5 * d1 and M2 == 2 * M1
-    assert fold2[1] == 2 * nside1
-    ref2 = _naive_fold(Ffun, d2, 2 * nside1, M2)
-    assert _rel(fold2[0], ref2) <= 1e-13
-    spec2 = np.fft.fft(ref2) * d2 / (2.0 * math.pi)
-    assert _rel(p2, spec2[(np.arange(nx) + shift) % M2]) <= 1e-13
+    assert fold2[1] == 2 * nside1 and fold2[0].M == M2
+    spec2 = np.fft.fft(_naive_fold(Ffun, d2, 2 * nside1, M2)) * d2 / (2.0 * math.pi)
+    assert _rel(p2, spec2[bins % M2]) <= 1e-13
     # a window that does not double the coarse samples is refused
     with pytest.raises(QuadratureError):
         _grid_1d_sum(Ffun, Xi_eff + d1, x0, hx, nx, sym, refine=2, coarse=fold1)
@@ -313,48 +341,78 @@ def _routes(monkeypatch):
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
-        seen.append("zoom" if isinstance(out[4][0], _ZoomSums) else "fold")
+        seen.append("fold" if out[4][0].zoom is None else "zoom")
         return out
     monkeypatch.setattr(inversion, "_grid_1d_sum", spy)
     return seen
 
 
 @pytest.mark.parametrize("sym", [True, False])
-def test_grid_sum_routes_agree(sym):
-    # a wide wrap and a narrow window: the zoom is chosen; the fold route,
-    # built from its parts, is the reference for both passes
+def test_grid_sum_routes_agree(monkeypatch, sym):
+    # a wide wrap and a narrow window: the zoom is chosen; a naive DFT of
+    # every sample is the reference for both passes, and the fold route,
+    # forced, gives the same sums
     Ffun = _even_F if sym else _complex_F
     x0, hx, nx, refine, Xi = -1.0, 0.01, 201, 512, 20.0
     p1, edge, d1, M1, fold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=refine)
-    assert isinstance(fold1[0], _ZoomSums) and M1 == 1 << 17
+    assert fold1[0].zoom is not None and M1 == 1 << 17
     nside = fold1[1]
     bins = np.arange(nx) + int(round(x0 / hx))
-    idx = bins % M1
-    spec1 = np.fft.fft(_fold_frequency(Ffun, d1, nside, M1, sym)) * d1 / (2.0 * math.pi)
-    peak = np.max(np.abs(spec1[idx]))
-    assert np.max(np.abs(p1 - spec1[idx])) <= 1e-13 * peak
-    alias_ref, quarter_ref = _wrap_edge(spec1, M1, hx, False)
+    want1 = _naive_dft(Ffun, d1, nside, M1, bins) * d1 / (2.0 * math.pi)
+    peak = np.max(np.abs(want1))
+    assert np.max(np.abs(p1 - want1)) <= 1e-13 * peak
+    spec1 = np.fft.fft(_naive_fold(Ffun, d1, nside, M1)) * d1 / (2.0 * math.pi)
+    band, quarter = _edge_bins(M1, hx)
+    alias_ref, quarter_ref = _edge_levels(np.abs(spec1[band]), np.abs(spec1[quarter]))
     assert abs(edge[0] - alias_ref) <= 1e-14 and abs(edge[1] - quarter_ref) <= 1e-14
 
     Xi_eff = math.ceil(Xi / d1) * d1
     p2, none, d2, M2, fold2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
                                            refine=2 * refine, coarse=fold1)
     assert none is None and M2 == 2 * M1 and fold2[1] == 2 * nside
-    spec2 = np.fft.fft(_fold_frequency(Ffun, d2, 2 * nside, M2, sym)) * d2 / (2.0 * math.pi)
+    spec2 = np.fft.fft(_naive_fold(Ffun, d2, 2 * nside, M2)) * d2 / (2.0 * math.pi)
     assert np.max(np.abs(p2 - spec2[bins % M2])) <= 1e-13 * peak
     with pytest.raises(QuadratureError):
         _grid_1d_sum(Ffun, Xi_eff + d1, x0, hx, nx, sym, refine=2 * refine, coarse=fold1)
 
+    monkeypatch.setattr(inversion, "_route", lambda *args, **kwargs: "fold")
+    f1, fedge, _, _, ffold1 = _grid_1d_sum(Ffun, Xi, x0, hx, nx, sym, refine=refine)
+    f2 = _grid_1d_sum(Ffun, Xi_eff - 0.25 * d1, x0, hx, nx, sym,
+                      refine=2 * refine, coarse=ffold1)[0]
+    assert ffold1[0].zoom is None
+    assert np.max(np.abs(f1 - p1)) <= 1e-13 * peak and np.max(np.abs(f2 - p2)) <= 1e-13 * peak
+    assert fedge == pytest.approx(edge, rel=1e-12)
+
 
 def test_route_choice(monkeypatch):
-    # 2001 cauchy nodes: 67,042 samples against M = 2^21 bins, zoomed; nine
+    # 2001 cauchy nodes: 67,042 samples against M = 2^21 bins, zoomed in
+    # four chirp-z runs (the output bins, the edge band and the quarter
+    # ring read at min(m, M - m), the step-halving output bins); nine
     # stable nodes at step 0.8: the samples wrap, folded
     seen = _routes(monkeypatch)
+    runs = []
+    real_run = _Zoom.run
+    monkeypatch.setattr(_Zoom, "run", lambda self, *a: runs.append(1) or real_run(self, *a))
     invert_grid(builtin_model("cauchy"), 1.0, (np.arange(2001) - 1000) * 0.01)
     assert seen[-2:] == ["zoom", "zoom"]
+    assert len(runs) == 4
     seen.clear()
     invert_grid(builtin_model("stable", alpha=1.5), 1.0, (np.arange(9) - 4) * 0.8)
     assert set(seen) == {"fold"}
+
+
+@pytest.mark.parametrize("name, kw, t, route", [
+    ("cauchy", {}, 1.0, "zoom"), ("stable", {"alpha": 1.5}, 1.0, "zoom"),
+    ("sym_gamma", {}, 1.45, "zoom"), ("gaussian", {}, 1.0, "fold"),
+    ("sym_gamma", {}, 1.0, "fold"),
+])
+def test_symmetric_grid_density_is_exactly_even(monkeypatch, name, kw, t, route):
+    # every pass of either route reads node -x at the bin of node x, so
+    # p(-x) == p(x) to the last bit; the route named is the widest wrap's
+    seen = _routes(monkeypatch)
+    v = invert_grid(builtin_model(name, **kw), t, (np.arange(2001) - 1000) * 0.01).values
+    assert seen[-2:] == [route, route]
+    assert np.array_equal(v, v[::-1])
 
 
 @pytest.mark.parametrize("name, family, t, x, route", [
