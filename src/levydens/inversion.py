@@ -31,7 +31,10 @@ bins:
   bins by Bluestein's chirp-z convolution, of length about samples + nodes
   (Bluestein 1970; Bailey and Swarztrauber 1991).  Heavy-tailed laws widen
   the wrap to 2^21-2^22 bins for a few percent of nonzero samples; the zoom
-  allocates nothing of length M.
+  allocates nothing of length M.  Its plan (``_Zoom``) holds the kernel,
+  the sample chirp and the output phases, so a run multiplies by stored
+  phases; one starting at a bin s != 0 mod M adds a linear phase, the
+  outer product of about 2 sqrt(samples) phases.
 
 The third, the point route (``_point_pass``), serves a symmetric exponent
 on few nodes: p(x_i) = (1/pi) int_0^inf F(u) cos(x_i u) du at the exact
@@ -44,9 +47,11 @@ widening runs): the point route is taken only when its weighted cost is
 below a grid pass at that wrap, a lower bound on any grid run.  A wrap
 edge that shows no decay predicts only a doubling; the grid's next passes,
 which it would run anyway, then run before the choice.  The grid route
-continues from the passes already run, so none runs twice.  A symmetric F
-whose grid origin is off the step's lattice takes the point route, which
-needs no DFT bins.  Its tail_bound is the sum of four
+continues from the passes already run, so none runs twice.  When the first
+pass alone would take in more samples than the point route costs at its
+panel cap, as on few nodes at a huge step, no grid pass runs and the point
+route serves.  A symmetric F whose grid origin is off the step's lattice
+takes the point route, which needs no DFT bins.  Its tail_bound is the sum of four
 parts: the projection (the dropped Legendre orders), the remainder past the
 last panel, the head below the first panel, and the rounding.
 
@@ -259,17 +264,27 @@ def _edge_levels(band: np.ndarray, quarter: np.ndarray) -> Tuple[float, float]:
     return alias_est, p_quarter
 
 
-def _phase(r: np.ndarray, M: int, sign: float,
-           out: Optional[np.ndarray] = None) -> np.ndarray:
+def _phase(r: np.ndarray, M: int, sign: float) -> np.ndarray:
     """e^{sign i pi r / M} for integers r, reduced mod 2 M exactly (in place
-    in r), written into ``out`` when given."""
+    in r)."""
     r %= 2 * M
     theta = r * (sign * math.pi / M)
-    if out is None:
-        out = np.empty(r.shape, dtype=complex)
+    out = np.empty(r.shape, dtype=complex)
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
+
+
+def _linear_phase(s: int, lo: int, size: int, M: int) -> np.ndarray:
+    """e^{-2 pi i s k / M} for k = lo .. lo + size - 1, from exact integers.
+    With k - lo = q B + r, B about sqrt(size), it is the outer product of
+    the phases at k = lo + q B and at k = r, so about 2 sqrt(size) phases
+    are evaluated."""
+    B = math.isqrt(size - 1) + 1
+    q = lo + B * np.arange(-(-size // B), dtype=np.int64)
+    r = np.arange(B, dtype=np.int64)
+    s = 2 * (s % M)
+    return np.multiply.outer(_phase(s * q, M, -1.0), _phase(s * r, M, -1.0)).reshape(-1)[:size]
 
 
 class _Zoom:
@@ -278,33 +293,39 @@ class _Zoom:
     ``at`` returns X_m = sum_k F_k e^{-2 pi i k m / M} at any integer bins m in
     O(N log N) per run of ``n_out`` consecutive bins, N >= samples + n_out - 1,
     with no array of length M.  With km = (k^2 + m^2 - (m - k)^2) / 2 a run
-    m = s + i is a convolution of F_k e^{-i pi (k^2 + 2 s k) / M} with the
-    chirp e^{i pi (i - k)^2 / M}.  Every phase is reduced modulo 2 M in exact
-    integers first: a float k^2 loses the phase once k exceeds about 1e5.
-    The kernel FFT depends only on (M, lo, samples, n_out), so one plan
-    serves a pass and its step-halving odd samples (one sample fewer)."""
+    m = s + i is a convolution of F_k e^{-i pi k^2 / M} e^{-2 pi i s k / M}
+    with the chirp e^{i pi (i - k)^2 / M}.  Every phase is reduced modulo 2 M
+    in exact integers first: a float k^2 loses the phase once k exceeds
+    about 1e5.  The plan holds what depends only on (M, lo, samples,
+    n_out): the kernel FFT, the sample chirp e^{-i pi k^2 / M} (``chirp``,
+    the conjugated kernel phases at lag -k) and ``post``, e^{-i pi i^2 / M}.
+    A run multiplies by them and evaluates no phase, except that one
+    starting at s != 0 mod M adds the linear phase (``_linear_phase``), an
+    outer product of about 2 sqrt(samples) phases.  One plan serves a pass
+    and its step-halving odd samples (one sample fewer)."""
 
     def __init__(self, M: int, lo: int, size: int, n_out: int):
         self.M, self.lo, self.n_out = M, lo, n_out
         self.N = _sfft.next_fast_len(size + n_out - 1)
-        # kernel at lag u = i - (k - lo) in [1 - size, n_out), wrapped mod N
-        v = np.arange(1 - size, n_out, dtype=np.int64) - lo
+        # e^{i pi w^2 / M} at w = u - lo, u = i - (k - lo) the lag in
+        # [1 - size, n_out); the kernel wraps it mod N, and the samples k
+        # sit at u = lo - k <= 0
+        w = np.arange(1 - size, n_out, dtype=np.int64) - lo
+        lag = _phase(w * w, M, 1.0)
         h = np.zeros(self.N, dtype=complex)
-        _phase(v[size - 1:] ** 2, M, 1.0, h[:n_out])
-        _phase(v[:size - 1] ** 2, M, 1.0, h[self.N - size + 1:])
+        h[:n_out] = lag[size - 1:]
+        h[self.N - size + 1:] = lag[:size - 1]
         self.kernel = np.fft.fft(h, out=h)
+        self.chirp = lag[size - 1::-1].conj()
         i = np.arange(n_out, dtype=np.int64)
         self.post = _phase(i * i, M, -1.0)
 
     def run(self, F: np.ndarray, s: int) -> np.ndarray:
         """X_{s + i} for i = 0 .. n_out - 1."""
-        k = np.arange(self.lo, self.lo + F.size, dtype=np.int64)
-        r = k + 2 * (s % self.M)
-        r *= k
         a = np.zeros(self.N, dtype=complex)
-        _phase(r, self.M, -1.0, a[:F.size])
-        del k, r
-        a[:F.size] *= F
+        np.multiply(self.chirp[:F.size], F, out=a[:F.size])
+        if s % self.M:
+            a[:F.size] *= _linear_phase(s, self.lo, F.size, self.M)
         np.fft.fft(a, out=a)
         a *= self.kernel
         np.fft.ifft(a, out=a)
@@ -388,7 +409,10 @@ def _route(M: int, nside: int, nx: int, sym: bool, panels: int = 0) -> str:
     and one FFT), then per run of bins the sample phases and two FFTs of
     length N.  The runs are the output nodes, the wrap-edge bins (two runs
     for a symmetric F, read at min(m, M - m); three otherwise) and the
-    step-halving odd samples.
+    step-halving odd samples.  The per-run ``runs * size`` phase term now
+    overcounts: the plan stores the sample chirp, and a run evaluates only
+    a linear phase of about 2 sqrt(size) terms, or none at s = 0.  It is
+    kept so that no route moves; repricing the zoom is a change of its own.
 
     Given its panel count P, the point route (a symmetric F only) counts
     W (16 + K nx) P: 16 exponent samples a panel and K moment terms per
@@ -904,6 +928,11 @@ def _invert_1d(model: ModelSpec, t: float, x: np.ndarray,
     if f.sym and _lattice_shift(x0, hx) is None:
         # off the DFT lattice only the point route, which needs none, serves
         p, tail_bound = _point_pass(f, _filon_panels(f.env, 0.0, f.Xi), x)
+    elif f.sym and (_wrap(f.Xi, x0, hx, nx)[2] + 1
+                    > _POINT_WEIGHT * (16 + _filon_K * nx) * _FILON_PANELS):
+        # every grid run takes in more samples than the point route costs at
+        # its panel cap, so the route is priced without the grid's first pass
+        p, tail_bound = _point_pass(f, _point_panels(f, x0, hx, nx, 1), x)
     else:
         # the grid route's first pass predicts the wrap it widens to, and the
         # point route must beat the grid's pass at that wrap.  A wrap edge

@@ -39,6 +39,7 @@ from levydens.inversion import (
 from levydens.levy_core import ModelSpec, builtin_model, eval_re_psi, re_psi_profile
 from levydens.measures import AtomSpec, MeasureSpec, sphere_surface
 from levydens.quadrature import _accelerated
+from levydens.ratio_limit import ratio_px_p0
 
 # written by scripts/bessel_reference.py (mpmath at 40 digits)
 _BESSEL_REF = json.loads((pathlib.Path(__file__).parent / "data" / "bessel_ref.json").read_text())
@@ -319,19 +320,61 @@ def test_sparse_cauchy_grid_routes_agree():
 
 # -- the zoom route ----------------------------------------------------------
 
-def test_zoom_matches_direct_sum():
-    # k reaches past 5e5 and the runs start near M/2 and below 0, where a
-    # phase taken from a float k^2 is off by ~1e-10; the 50 bins below 0
-    # take three runs of 24
-    M, lo, size = 1 << 21, 500_000, 3001
+def test_zoom_matches_direct_sum(monkeypatch):
+    # k reaches past 5e5 and the runs start at 0, near M/4, M/2 and 3M/4,
+    # at M - 5 (past M) and below 0, where a phase taken from a float k^2
+    # is off by ~1e-10; the 50 bins below 0 take three runs of 24.  One plan
+    # serves all samples and the odd-sample run (one sample fewer), with and
+    # without the linear phase of s != 0
+    M, size = 1 << 22, 3001
     rng = np.random.default_rng(7)
     F = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-    bins = np.concatenate((np.arange(M // 2 - 7, M // 2 + 9), np.arange(-70, -20),
-                           np.array([M // 4])))
-    got = _Zoom(M, lo, size, 24).at(F, bins)
-    k = np.arange(lo, lo + size, dtype=np.int64)
-    ref = np.array([np.sum(F * np.exp(-2j * math.pi * ((k * m) % M) / M)) for m in bins])
-    assert _rel(got, ref) <= 1e-13
+    bins = np.concatenate([np.arange(a, a + n) for a, n in (
+        (-100, 50), (0, 16), (M // 4 - 3, 16), (M // 2 - 7, 16), (3 * M // 4, 16),
+        (M - 5, 16))])
+    starts = []
+    real_run = _Zoom.run
+    monkeypatch.setattr(_Zoom, "run", lambda self, F, s: starts.append(s) or real_run(self, F, s))
+    for lo in (-1500, 0, 500_000):
+        zoom = _Zoom(M, lo, size, 24)
+        for n in (size, size - 1):
+            starts.clear()
+            got = zoom.at(F[:n], bins)
+            assert starts == [-100, -76, -52, 0, M // 4 - 3, M // 2 - 7, 3 * M // 4, M - 5]
+            k = np.arange(lo, lo + n, dtype=np.int64)
+            ref = np.array([np.sum(F[:n] * np.exp(-2j * math.pi * ((k * m) % M) / M))
+                            for m in bins])
+            assert _rel(got, ref) <= 1e-13
+
+
+@pytest.mark.parametrize("s", [1, 5, (1 << 20) - 3, (1 << 21) + 3, (1 << 22) - 5, -70,
+                               (1 << 22) + 7, 123_457])
+def test_linear_phase_matches_exact_integer_phases(s):
+    # every factor of the outer product, and the reference, rounds an
+    # argument of up to 2 pi, half an ulp of which is 2 eps: the two differ
+    # by up to 6 eps
+    M = 1 << 22
+    for lo in (-3_000_000, -1500, 0, 500_000):
+        for size in (1, 2, 16, 17, 3001, 67_043):
+            got = inversion._linear_phase(s, lo, size, M)
+            k = np.arange(lo, lo + size, dtype=np.int64)
+            want = inversion._phase(2 * ((s * k) % M), M, -1.0)
+            assert got.shape == (size,)
+            assert np.max(np.abs(got - want)) <= 8.0 * np.finfo(float).eps
+
+
+def test_zoom_takes_its_chirp_once(monkeypatch):
+    # the 2001-node cauchy grid: the plan evaluates its lags (samples +
+    # nodes - 1) and post phases once, the runs at s != 0 an outer product
+    # of about 2 sqrt(samples) each, and the step-halving twiddle one a node
+    elements = []
+    real = inversion._phase
+    monkeypatch.setattr(inversion, "_phase",
+                        lambda r, *a, **kw: elements.append(np.size(r)) or real(r, *a, **kw))
+    seen = _routes(monkeypatch)
+    invert_grid(builtin_model("cauchy"), 1.0, (np.arange(2001) - 1000) * 0.01)
+    assert seen[-2:] == ["zoom", "zoom"]
+    assert sum(elements) <= 100_000
 
 
 def _routes(monkeypatch):
@@ -787,7 +830,6 @@ def _count_point_routes(monkeypatch):
 
 
 def test_few_node_ratios_take_the_point_route(monkeypatch):
-    from levydens.ratio_limit import ratio_px_p0
     calls = _count_point_routes(monkeypatch)
     for x in (1.0, 3.0, 4.6):
         ratio_px_p0(builtin_model("cauchy"), 1.0, x)
@@ -979,6 +1021,26 @@ def test_flat_wrap_edge_runs_the_grids_own_passes_before_pricing(monkeypatch):
     want = math.gamma(1.0 + 1.0 / 0.3) / (math.pi * 10.0 ** (1.0 / 0.3))
     assert abs(f.values[0] - want) <= f.tail_bound
     assert f.values[0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [1e6, 1e8])
+def test_huge_step_skips_the_grid_pass(monkeypatch, x):
+    # at the window floor Xi = 1 a grid pass over [0, x] takes 256 x / 2 pi
+    # samples, more than the point route costs at its panel cap: no grid
+    # pass runs
+    refines, points = _pass_refines(monkeypatch), _count_point_routes(monkeypatch)
+    f = invert_grid(builtin_model("cauchy"), 1.0, np.array([0.0, x]))
+    assert refines == [] and points == [2]
+    err = np.max(np.abs(f.values - [closed_form("cauchy", 1.0, v) for v in (0.0, x)]))
+    assert err <= f.tail_bound
+
+
+def test_huge_step_ratio_skips_the_grid_pass(monkeypatch):
+    # ratio_px_p0's two nodes [0, 1e12] go straight to the point route
+    refines, points = _pass_refines(monkeypatch), _count_point_routes(monkeypatch)
+    r = ratio_px_p0(builtin_model("cauchy"), 1.0, 1e12)
+    assert refines == [] and points == [2]
+    assert abs(r) <= 1e-12
 
 
 def test_grid_pass_bound_covers_the_41_node_cauchy_grid():
